@@ -1,7 +1,7 @@
 """Discrete calculus on periodic grids.
 
-Centered second-order stencils throughout; ``np.roll`` supplies the periodic
-wraparound.  The summation-by-parts identity
+Centered second-order stencils throughout, all from the one periodic kernel
+`centered_difference` on raw arrays.  The summation-by-parts identity
 
     sum_k u_k (D v)_k = -sum_k (D u)_k v_k
 
@@ -21,12 +21,21 @@ from .grid import Array, Grid, ScalarField, VectorField
 _CHUNK = 1 << 15  # points per interpolation chunk, bounds gather temporaries
 
 
+def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
+    """Periodic (v[k+1] - v[k-1]) / (2h) along ``axis`` of a raw array, by slices."""
+    out = np.empty(v.shape)
+    src, dst = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    np.subtract(src[1:2], src[-1:], out=dst[:1])
+    np.subtract(src[:1], src[-2:-1], out=dst[-1:])
+    out /= 2.0 * grid.spacing[axis]
+    return out
+
+
 def derivative(f: ScalarField, axis: int) -> ScalarField:
     """Centered first derivative along ``axis`` with periodic wraparound."""
     _check_axis(f.grid, axis)
-    h = f.grid.spacing[axis]
-    v = f.values
-    return f.with_values((np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h))
+    return f.with_values(centered_difference(f.values, axis, f.grid))
 
 
 def second_derivative(f: ScalarField, axis_p: int, axis_q: int) -> ScalarField:

@@ -20,7 +20,10 @@ density contrast built on it) transports the variant part along the
 does for you.
 
 Internals work on raw arrays (these assemblies sit in the inner loop of
-ensemble runs); only the returned parts are wrapped as fields.
+ensemble runs); only the returned parts are wrapped as fields.  Every
+stencil goes through the one periodic kernel `calculus.centered_difference`,
+and each mode's geometry (d_p e^q, div e, (e . grad) e) comes from
+`noise.mode_gradient` and `noise.self_advection`.
 """
 from __future__ import annotations
 
@@ -30,9 +33,11 @@ from typing import Union
 
 import numpy as np
 
+from .calculus import centered_difference as _d
 from .calculus import derivative, sample_at
 from .grid import Array, Grid, ScalarField, TensorClass, VectorField
 from .maps import DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map
+from .noise import mode_gradient, self_advection
 
 Fieldish = Union[ScalarField, VectorField]
 
@@ -52,21 +57,9 @@ class PerturbationResult:
     noise: tuple[Fieldish, ...]
     realized: Fieldish
 
-    @classmethod
-    def assemble(cls, drift: Fieldish, noise: tuple[Fieldish, ...], d: DiffeoIncrement) -> "PerturbationResult":
-        realized = drift * d.dt
-        for n_i, eta_i in zip(noise, d.increments.eta):
-            realized = realized + n_i * float(eta_i)
-        return cls(drift, tuple(noise), realized)
-
 
 # ---------------------------------------------------------------------------
 # raw-array helpers
-
-def _d(v: Array, axis: int, grid: Grid) -> Array:
-    h = grid.spacing[axis]
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * h)
-
 
 def _grad(v: Array, grid: Grid) -> list[Array]:
     return [_d(v, p, grid) for p in range(grid.dim)]
@@ -108,45 +101,37 @@ def _mode_quadratic(modes: list[list[Array]], hess: list[list[Array]], grid: Gri
     return acc
 
 
-def _jacobian_wedge(e: list[list[Array] | Array], grid: Grid, de: list[list[Array]], dive: Array) -> Array:
+def _jacobian_wedge(de: list[list[Array]], dive: Array) -> Array:
     """J = (div e)^2 - sum_pq (d_p e^q)(d_q e^p), identically zero in 1D."""
     acc = dive * dive
-    for p in range(grid.dim):
-        for q in range(grid.dim):
+    for p in range(len(de)):
+        for q in range(len(de)):
             acc = acc - de[p][q] * de[q][p]
     return acc
 
 
 def volume_jacobian_coefficient(e: VectorField) -> ScalarField:
     """Quadratic wedge term of the volume multiplier for one mode field."""
-    grid = e.grid
-    ev = [c.values for c in e.components]
-    de = [[_d(ev[q], p, grid) for q in range(grid.dim)] for p in range(grid.dim)]
-    dive = sum(de[p][p] for p in range(grid.dim))
-    return ScalarField(grid, _jacobian_wedge(ev, grid, de, dive))
+    return ScalarField(e.grid, _jacobian_wedge(*mode_gradient([c.values for c in e.components], e.grid)))
 
 
-def _assemble(grid: Grid, drift: Array, noise: list[Array], d: DiffeoIncrement) -> PerturbationResult:
+def _realize(drift: Array, noise: list[Array], d: DiffeoIncrement) -> Array:
     realized = drift * d.dt
     for nv, eta in zip(noise, d.increments.eta):
         realized = realized + nv * float(eta)
-    return PerturbationResult(
-        ScalarField(grid, drift),
-        tuple(ScalarField(grid, nv) for nv in noise),
-        ScalarField(grid, realized),
-    )
+    return realized
 
 
-def _assemble_vector(grid: Grid, drift: list[Array], noise: list[list[Array]], d: DiffeoIncrement) -> PerturbationResult:
-    realized = [dv * d.dt for dv in drift]
-    for nvs, eta in zip(noise, d.increments.eta):
-        for j in range(grid.dim):
-            realized[j] = realized[j] + nvs[j] * float(eta)
-    return PerturbationResult(
-        VectorField.from_arrays(grid, drift),
-        tuple(VectorField.from_arrays(grid, nvs) for nvs in noise),
-        VectorField.from_arrays(grid, realized),
-    )
+def _assemble(grid: Grid, drift, noise: list, d: DiffeoIncrement) -> PerturbationResult:
+    """Wrap raw parts as fields, with the realised increment.  Scalar parts are
+    arrays; vector parts (a list per part) are one array per component."""
+    if isinstance(drift, list):
+        realized = [_realize(drift[j], [nvs[j] for nvs in noise], d) for j in range(grid.dim)]
+        wrap = lambda arrays: VectorField.from_arrays(grid, arrays)
+    else:
+        realized = _realize(drift, noise, d)
+        wrap = lambda array: ScalarField(grid, array)
+    return PerturbationResult(wrap(drift), tuple(wrap(nv) for nv in noise), wrap(realized))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +169,8 @@ def perturb_volume_multiplier(d: DiffeoIncrement) -> PerturbationResult:
     drift = _div(_drift_arrays(d), grid)
     noise = []
     for e in modes:
-        de = [[_d(e[q], p, grid) for q in range(grid.dim)] for p in range(grid.dim)]
-        dive = sum(de[p][p] for p in range(grid.dim))
-        drift = drift + 0.5 * _jacobian_wedge(e, grid, de, dive)
+        de, dive = mode_gradient(e, grid)
+        drift = drift + 0.5 * _jacobian_wedge(de, dive)
         noise.append(dive)
     return _assemble(grid, drift, noise, d)
 
@@ -215,9 +199,8 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
             drift = drift + a[p] * grads[p]
         noise = []
         for e in modes:
-            de = [[_d(e[q], p, grid) for q in range(grid.dim)] for p in range(grid.dim)]
-            dive = sum(de[p][p] for p in range(grid.dim))
-            drift = drift + 0.5 * _jacobian_wedge(e, grid, de, dive) * fv
+            de, dive = mode_gradient(e, grid)
+            drift = drift + 0.5 * _jacobian_wedge(de, dive) * fv
             for p in range(grid.dim):
                 drift = drift + e[p] * dive * grads[p]
             noise.append(dive * fv + sum(e[p] * grads[p] for p in range(grid.dim)))
@@ -228,11 +211,9 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
     for p in range(grid.dim):
         brackets.append(a[p] * fv)
     for e in modes:
-        de = [[_d(e[q], p, grid) for q in range(grid.dim)] for p in range(grid.dim)]
-        dive = sum(de[p][p] for p in range(grid.dim))
+        de, dive = mode_gradient(e, grid)
         egradf = sum(e[q] * grads[q] for q in range(grid.dim))
-        for p in range(grid.dim):
-            adv_p = sum(de[q][p] * e[q] for q in range(grid.dim))
+        for p, adv_p in enumerate(self_advection(e, de)):
             brackets[p] = brackets[p] + 0.5 * (e[p] * dive - adv_p) * fv + 0.5 * e[p] * egradf
     drift = sum(_d(brackets[p], p, grid) for p in range(grid.dim))
     noise = [sum(_d(e[p] * fv, p, grid) for p in range(grid.dim)) for e in modes]
@@ -255,7 +236,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     grads = [_grad(c, grid) for c in vv]      # grads[p][q] = d_q v^p
     hess = [_hessian(g, grid) for g in grads]
     da = [[_d(a[p], j, grid) for p in range(grid.dim)] for j in range(grid.dim)]
-    dmodes = [[[_d(e[p], j, grid) for p in range(grid.dim)] for j in range(grid.dim)] for e in modes]
+    dmodes = [mode_gradient(e, grid)[0] for e in modes]     # dmodes[i][j][p] = d_j e_i^p
     drift = []
     for j in range(grid.dim):
         dj = _mode_quadratic(modes, hess[j], grid)
@@ -274,7 +255,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
             nj = nj + sum(de[j][p] * vv[p] for p in range(grid.dim))
             comps.append(nj)
         noise.append(comps)
-    return _assemble_vector(grid, drift, noise, d)
+    return _assemble(grid, drift, noise, d)
 
 
 def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResult:
@@ -299,11 +280,9 @@ def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResul
         drift = drift - a[p] * grads[p]
     noise = []
     for e in modes:
-        de = [[_d(e[q], p, grid) for q in range(grid.dim)] for p in range(grid.dim)]
-        dive = sum(de[p][p] for p in range(grid.dim))
-        drift = drift + 0.5 * _jacobian_wedge(e, grid, de, dive) * gv
-        for p in range(grid.dim):
-            adv_p = sum(de[q][p] * e[q] for q in range(grid.dim))
+        de, dive = mode_gradient(e, grid)
+        drift = drift + 0.5 * _jacobian_wedge(de, dive) * gv
+        for p, adv_p in enumerate(self_advection(e, de)):
             drift = drift + (adv_p - e[p] * dive) * grads[p]
         noise.append(dive * gv - sum(e[p] * grads[p] for p in range(grid.dim)))
     return _assemble(grid, drift, noise, d)

@@ -199,10 +199,6 @@ class VectorField:
     def dim(self) -> int:
         return self.grid.dim
 
-    def stacked(self) -> Array:
-        """(dim, *shape) view used by vectorised point evaluation."""
-        return np.stack([c.values for c in self.components])
-
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.grid, tuple(a + b for a, b in zip(self.components, other.components)))
 

@@ -57,8 +57,8 @@ def pairing_integral(f: ScalarField, g: ScalarField) -> float:
     return integrate(f.with_values(f.values**2 * g.values))
 
 
-def vorticity_commutation(u: VectorField, d: DiffeoIncrement) -> float:
-    """RMS defect of curl(1-form increment) minus n-form increment of curl u.
+def vorticity_commutation_defect(u: VectorField, d: DiffeoIncrement) -> np.ndarray:
+    """curl(1-form increment of u) minus the n-form increment of curl u.
 
     On the torus the total vorticity integral is identically zero, so the
     testable conservation statement is this commutation of the exterior
@@ -68,7 +68,12 @@ def vorticity_commutation(u: VectorField, d: DiffeoIncrement) -> float:
         raise ValueError("vorticity commutation is a 2D diagnostic")
     lhs = curl(perturb_1form(u, d).realized)
     rhs = perturb_nform(curl(u), d, NFormMode.POINTWISE).realized
-    return float(np.sqrt(np.mean((lhs.values - rhs.values) ** 2)))
+    return lhs.values - rhs.values
+
+
+def vorticity_commutation(u: VectorField, d: DiffeoIncrement) -> float:
+    """RMS of `vorticity_commutation_defect` over the nodes."""
+    return float(np.sqrt(np.mean(vorticity_commutation_defect(u, d) ** 2)))
 
 
 def helicity(u: VectorField) -> float:

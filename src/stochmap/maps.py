@@ -8,7 +8,9 @@ the order the scheme works at, is another increment of the same shape with
 
 sharing the *same* eta_i.  `inverse_increment` returns that increment, so
 `forward/inverse` and the variant-tensor transport all go through one code
-path; inverting twice restores the original coefficients exactly.
+path; inverting twice restores the original coefficients exactly.  Its basis
+depends on the forward basis alone and is built once per basis
+(`NoiseBasis.inverse`).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .calculus import sample_vector_at
 from .grid import Array, VectorField
-from .noise import BrownianIncrements, NoiseBasis, ito_drift_correction
+from .noise import BrownianIncrements, NoiseBasis
 
 
 class Convention(Enum):
@@ -99,10 +101,7 @@ def forward_map(d: DiffeoIncrement, points: Array) -> Array:
 
 def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:
     """The increment realising T^{-1}: drift -a + (e.grad)e, modes -e_i, same eta."""
-    z = ito_drift_correction(d.basis, 1.0) - d.basis.drift
-    flipped = tuple(-e for e in d.basis.modes)
-    basis = NoiseBasis(d.grid, flipped, z, divergence_free=d.basis.divergence_free)
-    return DiffeoIncrement(basis, d.increments, d.convention, d.safety)
+    return DiffeoIncrement(d.basis.inverse, d.increments, d.convention, d.safety)
 
 
 def inverse_map(d: DiffeoIncrement, points: Array) -> Array:

@@ -16,7 +16,6 @@ import numpy as np
 from .calculus import derivative, second_derivative
 from .forms import (
     NFormMode,
-    PerturbationResult,
     perturb_0form,
     perturb_1form,
     perturb_nform,
@@ -65,8 +64,8 @@ def noise_scales(basis: NoiseBasis) -> tuple[float, float]:
 
 
 def apply_increment(field: Fieldish, tensor_class: TensorClass, d: DiffeoIncrement,
-                    nform_mode: NFormMode = NFormMode.FLUX) -> PerturbationResult:
-    """Class-appropriate perturbation of one state variable.
+                    nform_mode: NFormMode = NFormMode.FLUX) -> Fieldish:
+    """Realised class-appropriate perturbation of one state variable.
 
     N_VECTOR rides the inverse increment (the pairing-preserving transport
     used for mixed covariant/variant state); the forward-map transport is
@@ -74,21 +73,14 @@ def apply_increment(field: Fieldish, tensor_class: TensorClass, d: DiffeoIncreme
     """
     if tensor_class is TensorClass.ZERO_FORM:
         if isinstance(field, VectorField):
-            parts = [perturb_0form(c, d) for c in field.components]
-            drift = VectorField(field.grid, tuple(p.drift for p in parts))
-            noise = tuple(
-                VectorField(field.grid, tuple(p.noise[i] for p in parts))
-                for i in range(d.basis.n_modes)
-            )
-            realized = VectorField(field.grid, tuple(p.realized for p in parts))
-            return PerturbationResult(drift, noise, realized)
-        return perturb_0form(field, d)
+            return VectorField(field.grid, tuple(perturb_0form(c, d).realized for c in field.components))
+        return perturb_0form(field, d).realized
     if tensor_class is TensorClass.N_FORM:
-        return perturb_nform(field, d, nform_mode)
+        return perturb_nform(field, d, nform_mode).realized
     if tensor_class is TensorClass.ONE_FORM:
-        return perturb_1form(field, d)
+        return perturb_1form(field, d).realized
     if tensor_class is TensorClass.N_VECTOR:
-        return pushforward_nvector(field, inverse_increment(d))
+        return pushforward_nvector(field, inverse_increment(d)).realized
     raise ValueError(f"no perturbation rule for tensor class {tensor_class}")
 
 
@@ -121,8 +113,7 @@ def two_step_forecast(
     d = increment if increment is not None else make_increment(basis, dt, rng, convention, safety)
     out: State = {}
     for k, field in tilde.items():
-        result = apply_increment(field, assignment[k], d, nform_mode)
-        out[k] = field + result.realized
+        out[k] = field + apply_increment(field, assignment[k], d, nform_mode)
     return out
 
 

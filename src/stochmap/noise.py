@@ -3,7 +3,8 @@
 A basis holds the deterministic drift ``a`` and the mode fields ``e_i`` of the
 per-step map x -> x + a*dt + sum_i e_i * deta_i.  Modes here are synthesised
 from a finite Fourier dictionary, which keeps derivatives analytic for the
-test oracles and makes divergence-free projection exact.
+test oracles and makes divergence-free projection exact.  `mode_gradient` and
+`self_advection` are the one implementation of a mode's discrete geometry.
 
 Divergence-free means divergence-free *for the discrete operator*: wave
 amplitudes are projected orthogonal to the modified wavevector
@@ -14,11 +15,12 @@ wavevectors this coincides with the analytic projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .calculus import derivative, divergence
+from .calculus import centered_difference, divergence
 from .grid import Array, Grid, VectorField
 
 
@@ -84,6 +86,13 @@ class NoiseBasis:
     def with_drift(self, drift: VectorField) -> "NoiseBasis":
         return NoiseBasis(self.grid, self.modes, drift, self.divergence_free)
 
+    @cached_property
+    def inverse(self) -> "NoiseBasis":
+        """Basis of the inverse map, built once per basis: modes -e_i and
+        drift sum_i (e_i . grad) e_i - a (see `maps.inverse_increment`)."""
+        return NoiseBasis(self.grid, tuple(-e for e in self.modes),
+                          ito_drift_correction(self, 1.0) - self.drift, self.divergence_free)
+
 
 @dataclass(frozen=True)
 class BrownianIncrements:
@@ -91,7 +100,6 @@ class BrownianIncrements:
 
     dt: float
     eta: Array
-    generator_state: str | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -158,9 +166,18 @@ def sample_increments(m: int, dt: float, rng: np.random.Generator) -> BrownianIn
     """Draw eta_i ~ N(0, dt) for i = 1..m; deterministic given the rng state."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    state = repr(rng.bit_generator.state)
-    eta = rng.normal(0.0, np.sqrt(dt), size=m)
-    return BrownianIncrements(dt=dt, eta=eta, generator_state=state)
+    return BrownianIncrements(dt=dt, eta=rng.normal(0.0, np.sqrt(dt), size=m))
+
+
+def mode_gradient(e: Sequence[Array], grid: Grid) -> tuple[list[list[Array]], Array]:
+    """Gradient de[p][q] = d_p e^q of one mode's component arrays, and div e."""
+    de = [[centered_difference(e[q], p, grid) for q in range(grid.dim)] for p in range(grid.dim)]
+    return de, sum(de[p][p] for p in range(grid.dim))
+
+
+def self_advection(e: Sequence[Array], de: list[list[Array]]) -> list[Array]:
+    """(e . grad) e^p = sum_q e^q d_q e^p, from the mode's `mode_gradient`."""
+    return [sum(de[q][p] * e[q] for q in range(len(e))) for p in range(len(e))]
 
 
 def ito_drift_correction(basis: NoiseBasis, factor: float = 1.0) -> VectorField:
@@ -173,9 +190,7 @@ def ito_drift_correction(basis: NoiseBasis, factor: float = 1.0) -> VectorField:
     grid = basis.grid
     comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
     for e in basis.modes:
-        for p in range(grid.dim):
-            acc = np.zeros(grid.shape)
-            for q in range(grid.dim):
-                acc += e.components[q].values * derivative(e.components[p], q).values
-            comps[p] += acc
+        ev = [c.values for c in e.components]
+        for p, adv in enumerate(self_advection(ev, mode_gradient(ev, grid)[0])):
+            comps[p] += adv
     return VectorField.from_arrays(grid, [factor * c for c in comps])

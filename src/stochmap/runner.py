@@ -84,12 +84,9 @@ def _run_member(config: RunConfig, grid: Grid, rng: np.random.Generator,
     basis = build_basis(grid, config)
     if config.model == "tsw":
         recorders = _run_tsw(config, grid, basis, rng, out_dir, member)
-    elif config.model == "advection":
-        recorders = _run_scalar(config, grid, basis, rng, out_dir, member, advect=True)
-    else:  # perturbation_only on a scalar field
-        recorders = _run_scalar(config, grid, basis, rng, out_dir, member, advect=False)
-    for rec in recorders:
-        (out_dir / f"{rec.name}.csv").write_text(rec.to_csv())
+    else:  # advection, or perturbation_only on a scalar field
+        recorders = _run_scalar(config, grid, basis, rng, out_dir, member,
+                                advect=config.model == "advection")
     return [rec.name for rec in recorders]
 
 
@@ -99,46 +96,56 @@ def _snapshot_due(config: RunConfig, step: int) -> bool:
     return config.snapshot_interval > 0 and step % config.snapshot_interval == 0
 
 
+def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
+           state, advance, record, snap) -> None:
+    """Step loop shared by the models: record every step and snapshot when due.
+
+    The series are written whether the run completes or a guard aborts it, so
+    an aborted run keeps the diagnostics of every step it finished.
+    """
+    try:
+        record(0.0, state)
+        if _snapshot_due(config, 0):
+            snap(0, state)
+        for step in range(1, config.n_steps + 1):
+            state = advance(state)
+            record(step * config.dt, state)
+            if _snapshot_due(config, step):
+                snap(step, state)
+    except (StabilityError, PositivityError, StepSizeError) as err:
+        raise RuntimeAbort(f"step {step}: {err}") from err
+    finally:
+        for rec in series:
+            (out_dir / f"{rec.name}.csv").write_text(rec.to_csv())
+
+
 def _run_tsw(config, grid, basis, rng, out_dir: Path, member: int) -> list[DiagnosticSeries]:
     state = tsw_initial_state(grid, config, np.random.default_rng(config.seed + 1000 + member))
     params = tsw_params(config)
-    energy = DiagnosticSeries("energy")
-    mass = DiagnosticSeries("mass")
-    mom_x = DiagnosticSeries("momentum_x")
-    mom_y = DiagnosticSeries("momentum_y")
+    series = [DiagnosticSeries(name) for name in ("energy", "mass", "momentum_x", "momentum_y")]
 
     def record(t, s):
         e, m, (px, py) = tsw_invariants(s)
-        energy.append(t, e)
-        mass.append(t, m)
-        mom_x.append(t, px)
-        mom_y.append(t, py)
+        for rec, value in zip(series, (e, m, px, py)):
+            rec.append(t, value)
 
     def snap(step, s):
         for name, field in (("h", s.h), ("theta", s.theta),
                             ("u_x", s.u.components[0]), ("u_y", s.u.components[1])):
             write_field(out_dir / f"{name}_{step:06d}.fld", field)
 
-    record(0.0, state)
-    if _snapshot_due(config, 0):
-        snap(0, state)
-    try:
-        for step in range(1, config.n_steps + 1):
-            state = tsw_spde_step(
-                state, params, basis, config.dt, rng,
-                rhs_enabled=config.rhs_enabled,
-                nform_mode=config.nform_mode,
-                convention=config.convention,
-                safety=config.safety,
-                c_stab=config.c_stab,
-                step=step,
-            )
-            record(step * config.dt, state)
-            if _snapshot_due(config, step):
-                snap(step, state)
-    except (StabilityError, PositivityError, StepSizeError) as err:
-        raise RuntimeAbort(str(err)) from err
-    return [energy, mass, mom_x, mom_y]
+    def advance(s):
+        return tsw_spde_step(
+            s, params, basis, config.dt, rng,
+            rhs_enabled=config.rhs_enabled,
+            nform_mode=config.nform_mode,
+            convention=config.convention,
+            safety=config.safety,
+            c_stab=config.c_stab,
+        )
+
+    _march(config, out_dir, series, state, advance, record, snap)
+    return series
 
 
 def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bool) -> list[DiagnosticSeries]:
@@ -162,28 +169,23 @@ def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bo
     total = DiagnosticSeries("total_integral")
     l2 = DiagnosticSeries("l2_norm")
 
-    def record(t, field):
-        total.append(t, integrate(field))
-        l2.append(t, float(np.sqrt(np.mean(field.values**2))))
+    def record(t, state):
+        total.append(t, integrate(state["f"]))
+        l2.append(t, float(np.sqrt(np.mean(state["f"].values**2))))
 
-    record(0.0, f)
-    if _snapshot_due(config, 0):
-        write_field(out_dir / f"f_{0:06d}.fld", f)
-    state = {"f": f}
+    def snap(step, state):
+        write_field(out_dir / f"f_{step:06d}.fld", state["f"])
+
     vel_noise, diff_noise = noise_scales(basis)
-    try:
-        for step in range(1, config.n_steps + 1):
-            check_stability(grid, config.dt, vel_extra + vel_noise, diff_extra + diff_noise,
-                            config.c_stab, step)
-            state = two_step_forecast(
-                state, rhs, assignment, basis, config.dt, rng,
-                convention=config.convention,
-                nform_mode=config.nform_mode,
-                safety=config.safety,
-            )
-            record(step * config.dt, state["f"])
-            if _snapshot_due(config, step):
-                write_field(out_dir / f"f_{step:06d}.fld", state["f"])
-    except (StabilityError, PositivityError, StepSizeError) as err:
-        raise RuntimeAbort(str(err)) from err
+
+    def advance(state):
+        check_stability(grid, config.dt, vel_extra + vel_noise, diff_extra + diff_noise, config.c_stab)
+        return two_step_forecast(
+            state, rhs, assignment, basis, config.dt, rng,
+            convention=config.convention,
+            nform_mode=config.nform_mode,
+            safety=config.safety,
+        )
+
+    _march(config, out_dir, [total, l2], {"f": f}, advance, record, snap)
     return [total, l2]

@@ -142,7 +142,8 @@ def verify_suite(config: RunConfig, *, include_slow: bool = True) -> list[CheckR
         _, slope = vorticity_fixed_h_study(dts=DEFAULT_DTS, n=128, seed=config.seed)
         checks.append(
             _above("slope_vorticity_fixed_h", slope, SLOPE_THRESHOLD,
-                   note="expected red: defect is h^2 * (linear increment), slope 1; see ledger")
+                   note="expected red: defect is h^2 * (linear increment), slope 1; "
+                        "see convergence.vorticity_fixed_h_study")
         )
 
         # --- weak convergence of the mean -----------------------------------

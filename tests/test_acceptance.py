@@ -4,8 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the measurements.
 Criterion 7 is split into its two clauses; the fixed-grid clause is expected
 to fail and is left failing deliberately: the commutation defect between the
 two closed forms is exactly linear in the increment with grid-limited
-coefficients, so its decay order in dt alone is 1, not 3/2 (full analysis in
-the project notes).  Everything else must be green.
+coefficients, so its decay order in dt alone is 1, not 3/2 (the derivation
+is the docstring of `stochmap.convergence.vorticity_fixed_h_study`).
+Everything else must be green.
 """
 import time
 
@@ -194,15 +195,16 @@ def test_criterion_7b_vorticity_commutation_fixed_h():
     # Faithful to the stated criterion; expected to fail.  The defect between
     # the two closed forms is exactly (stencil error) x (linear increment):
     # averaging over a symmetric ensemble leaves exactly slope 1 in dt at any
-    # fixed grid, and single realisations decay at slope 1/2.  See the
-    # decisions ledger for the derivation; the joint-refinement clause above
-    # is the testable form of the commutation statement.
+    # fixed grid, and single realisations decay at slope 1/2.  The
+    # derivation is the docstring of convergence.vorticity_fixed_h_study;
+    # the joint-refinement clause above is the testable form of the
+    # commutation statement.
     values, slope = vorticity_fixed_h_study(dts=DEFAULT_DTS, n=128, seed=0)
     report("7b", "vorticity_fixed_h", slope >= SLOPE_MIN,
            f"slope {slope:.3f} at h = 2*pi/128 (theory: exactly 1)")
     assert slope >= SLOPE_MIN, (
         "fixed-grid commutation defect decays at slope 1 by construction; "
-        "see decisions ledger"
+        "see convergence.vorticity_fixed_h_study"
     )
 
 

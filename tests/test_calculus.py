@@ -3,6 +3,7 @@ import pytest
 
 from stochmap.grid import Grid, ScalarField, VectorField
 from stochmap.calculus import (
+    centered_difference,
     curl,
     derivative,
     divergence,
@@ -58,6 +59,17 @@ def test_derivative_axis_out_of_range():
     f = ScalarField.constant(grid2(), 1.0)
     with pytest.raises(ValueError):
         derivative(f, 2)
+
+
+@pytest.mark.parametrize("shape", [(7,), (8, 12), (5, 6, 9), (4, 4, 4)])
+def test_centered_difference_equals_shifted_copy_formula(shape):
+    # reference: the same (v[k+1] - v[k-1]) / (2h) built from rolled copies;
+    # the slice kernel performs the identical operations, so equality is exact
+    g = Grid(shape, tuple(1.0 + 0.5 * p for p in range(len(shape))))
+    v = np.random.default_rng(len(shape)).standard_normal(shape)
+    for axis in range(len(shape)):
+        ref = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * g.spacing[axis])
+        assert np.array_equal(centered_difference(v, axis, g), ref)
 
 
 def test_derivative_linearity():

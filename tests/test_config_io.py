@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from stochmap.fldio import describe_field, read_field, write_field
 from stochmap.forms import NFormMode
 from stochmap.grid import Grid, ScalarField
 from stochmap.maps import Convention
-from stochmap.runner import run_simulation, resolve_output_dir
+from stochmap.runner import RuntimeAbort, run_simulation, resolve_output_dir
 from stochmap.runner_support import build_basis
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CONFIG_TEXT = """
 # shallow-water demo
@@ -276,3 +280,15 @@ directory = PLACE
     rows = (out / "total_integral.csv").read_text().splitlines()[1:]
     totals = np.array([float(r.split(",")[1]) for r in rows])
     assert np.abs(totals - totals[0]).max() < 1e-12 * abs(totals[0])
+
+
+def test_aborted_run_keeps_step_and_diagnostics(tmp_path):
+    # at 256^2 the shipped config's displacement outgrows the guard at step 4
+    cfg = load_config(CONFIGS / "tsw.cfg", ["grid.points=256 256", f"output.directory={tmp_path}"])
+    with pytest.raises(RuntimeAbort, match="step 4"):
+        run_simulation(cfg)
+    rows = (tmp_path / "mass.csv").read_text().splitlines()
+    assert rows[0] == "time,mass"
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [k * cfg.dt for k in range(4)]
+    for name in ("energy", "momentum_x", "momentum_y"):
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 5

@@ -93,6 +93,16 @@ def test_inverse_increment_coefficients():
     assert np.array_equal(inv.increments.eta, d.increments.eta)
 
 
+def test_inverse_basis_is_built_once_per_basis():
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False)])
+    rng = np.random.default_rng(2)
+    first = inverse_increment(make_increment(basis, 1e-3, rng))
+    second = inverse_increment(make_increment(basis, 1e-3, rng))
+    assert first.basis is basis.inverse
+    assert second.basis is basis.inverse
+
+
 def test_double_inverse_restores_coefficients():
     g = Grid((48, 48), (TWO_PI, TWO_PI))
     basis = build_fourier_basis(
