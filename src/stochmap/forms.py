@@ -122,16 +122,21 @@ def _realize(drift: Array, noise: list[Array], d: DiffeoIncrement) -> Array:
     return realized
 
 
-def _assemble(grid: Grid, drift, noise: list, d: DiffeoIncrement) -> PerturbationResult:
-    """Wrap raw parts as fields, with the realised increment.  Scalar parts are
-    arrays; vector parts (a list per part) are one array per component."""
-    if isinstance(drift, list):
-        realized = [_realize(drift[j], [nvs[j] for nvs in noise], d) for j in range(grid.dim)]
-        wrap = lambda arrays: VectorField.from_arrays(grid, arrays)
-    else:
-        realized = _realize(drift, noise, d)
-        wrap = lambda array: ScalarField(grid, array)
-    return PerturbationResult(wrap(drift), tuple(wrap(nv) for nv in noise), wrap(realized))
+def _assemble(grid: Grid, drift: Array, noise: list[Array], d: DiffeoIncrement) -> PerturbationResult:
+    return PerturbationResult(
+        ScalarField(grid, drift),
+        tuple(ScalarField(grid, nv) for nv in noise),
+        ScalarField(grid, _realize(drift, noise, d)),
+    )
+
+
+def _assemble_vector(grid: Grid, drift: list[Array], noise: list[list[Array]], d: DiffeoIncrement) -> PerturbationResult:
+    realized = [_realize(drift[j], [nvs[j] for nvs in noise], d) for j in range(grid.dim)]
+    return PerturbationResult(
+        VectorField.from_arrays(grid, drift),
+        tuple(VectorField.from_arrays(grid, nvs) for nvs in noise),
+        VectorField.from_arrays(grid, realized),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +260,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
             nj = nj + sum(de[j][p] * vv[p] for p in range(grid.dim))
             comps.append(nj)
         noise.append(comps)
-    return _assemble(grid, drift, noise, d)
+    return _assemble_vector(grid, drift, noise, d)
 
 
 def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResult:

@@ -41,7 +41,7 @@ class PositivityError(RuntimeError):
 # generic two-step forecast
 
 def check_stability(grid: Grid, dt: float, velocity_scale: float, diffusivity: float,
-                    c_stab: float = 1.0, step: int | None = None) -> None:
+                    c_stab: float = 1.0) -> None:
     h = grid.min_spacing
     limit = np.inf
     if diffusivity > 0:
@@ -49,9 +49,8 @@ def check_stability(grid: Grid, dt: float, velocity_scale: float, diffusivity: f
     if velocity_scale > 0:
         limit = min(limit, h / velocity_scale)
     if dt > c_stab * limit:
-        where = "" if step is None else f" at step {step}"
         raise StabilityError(
-            f"dt = {dt:.3e} exceeds stability bound {c_stab * limit:.3e}{where} "
+            f"dt = {dt:.3e} exceeds stability bound {c_stab * limit:.3e} "
             f"(velocity scale {velocity_scale:.3g}, diffusivity {diffusivity:.3g})"
         )
 
@@ -329,23 +328,17 @@ def tsw_spde_step(
     convention: Convention = Convention.RAW,
     safety: float = 1.0,
     c_stab: float = 1.0,
-    step: int | None = None,
     increment: DiffeoIncrement | None = None,
 ) -> TSWState:
     """One thermal shallow water step; all three variables share one increment."""
     vel, diff = noise_scales(basis)
     if rhs_enabled:
         vel += state.u.max_norm() + tsw_gravity_wave_speed(state)
-    check_stability(state.grid, dt, vel, diff, c_stab, step)
+    check_stability(state.grid, dt, vel, diff, c_stab)
     rhs = (lambda s: tsw_deterministic_rhs(TSWState(s["h"], s["theta"], s["u"]), params)) if rhs_enabled else None
-    try:
-        new = two_step_forecast(
-            state.as_dict(), rhs, TSW_ASSIGNMENT, basis, dt, rng,
-            convention=convention, nform_mode=nform_mode, safety=safety,
-            increment=increment,
-        )
-        return TSWState(new["h"], new["theta"], new["u"])
-    except PositivityError as err:
-        if step is not None:
-            raise PositivityError(f"step {step}: {err}") from err
-        raise
+    new = two_step_forecast(
+        state.as_dict(), rhs, TSW_ASSIGNMENT, basis, dt, rng,
+        convention=convention, nform_mode=nform_mode, safety=safety,
+        increment=increment,
+    )
+    return TSWState(new["h"], new["theta"], new["u"])

@@ -355,8 +355,8 @@ def test_tsw_step_conserves_mass_to_roundoff():
     )
     mass0 = integrate(state.h)
     s = state
-    for step in range(5):
-        s = tsw_spde_step(s, TSWParams(), basis, 1e-3, rng, rhs_enabled=True, step=step)
+    for _ in range(5):
+        s = tsw_spde_step(s, TSWParams(), basis, 1e-3, rng, rhs_enabled=True)
         assert abs(integrate(s.h) - mass0) / mass0 < 1e-12
 
 
@@ -481,7 +481,7 @@ def test_tsw_step_aborts_on_positivity_loss():
     basis = NoiseBasis(g, (), VectorField.zeros(g))
     with pytest.raises(PositivityError):
         tsw_spde_step(state, TSWParams(kappa=300.0), basis, 1e-2,
-                      np.random.default_rng(0), step=7)
+                      np.random.default_rng(0))
 
 
 def test_tsw_step_aborts_on_stability():
