@@ -5,8 +5,8 @@
     stochmap verify   <config> [--fast]
     stochmap inspect  <snapshot.fld>
 
-Exit codes: 0 success, 1 configuration error, 2 runtime abort
-(stability/positivity/step-size), 3 verification failure.  The output
+Exit codes: 0 success, 1 configuration error, 2 runtime abort (a guard fired
+or the state went non-finite), 3 verification failure.  The output
 directory may be overridden with the STOCHMAP_OUTDIR environment variable.
 """
 from __future__ import annotations

@@ -21,9 +21,11 @@ does for you.
 
 Internals work on raw arrays (these assemblies sit in the inner loop of
 ensemble runs); only the returned parts are wrapped as fields.  Every
-stencil goes through the one periodic kernel `calculus.centered_difference`,
-and each mode's geometry (d_p e^q, div e, (e . grad) e) comes from
-`noise.mode_gradient` and `noise.self_advection`.
+stencil goes through the one periodic kernel `calculus.centered_difference`.
+The drifts read the sums over modes (A = sum_i e_i e_i^T, sum_i J_i,
+sum_i e_i div e_i, sum_i (e_i . grad) e_i) from their one home,
+`NoiseBasis.geometry`; only the noise terms, and the 1-form's coupling
+term, visit the modes one by one.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .calculus import centered_difference as _d
 from .calculus import derivative, sample_at
 from .grid import Array, Grid, ScalarField, TensorClass, VectorField
 from .maps import DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map
-from .noise import mode_gradient, self_advection
+from .noise import jacobian_wedge, mode_gradient
 
 Fieldish = Union[ScalarField, VectorField]
 
@@ -84,35 +86,26 @@ def _drift_arrays(d: DiffeoIncrement) -> list[Array]:
 
 
 def _div(vecs: list[Array], grid: Grid) -> Array:
-    out = _d(vecs[0], 0, grid)
-    for p in range(1, grid.dim):
-        out = out + _d(vecs[p], p, grid)
-    return out
+    return sum(_d(vecs[p], p, grid) for p in range(grid.dim))
 
 
-def _mode_quadratic(modes: list[list[Array]], hess: list[list[Array]], grid: Grid) -> Array:
-    """(1/2) sum_i e_i^p e_i^q d_p d_q f (symmetric pairs folded)."""
-    acc = np.zeros(grid.shape)
-    for e in modes:
-        for p in range(grid.dim):
-            acc += 0.5 * e[p] * e[p] * hess[p][p]
-            for q in range(p + 1, grid.dim):
-                acc += e[p] * e[q] * hess[p][q]
-    return acc
+def _dot(e: list[Array], grads: list[Array]) -> Array:
+    return sum(e[p] * grads[p] for p in range(len(e)))
 
 
-def _jacobian_wedge(de: list[list[Array]], dive: Array) -> Array:
-    """J = (div e)^2 - sum_pq (d_p e^q)(d_q e^p), identically zero in 1D."""
-    acc = dive * dive
-    for p in range(len(de)):
-        for q in range(len(de)):
-            acc = acc - de[p][q] * de[q][p]
+def _variance_quadratic(amat: list[list[Array]], hess: list[list[Array]]) -> Array:
+    """(1/2) A^{pq} d_p d_q f with A the basis's variance tensor (symmetric pairs folded)."""
+    acc = 0.0
+    for p in range(len(hess)):
+        acc = acc + 0.5 * amat[p][p] * hess[p][p]
+        for q in range(p + 1, len(hess)):
+            acc = acc + amat[p][q] * hess[p][q]
     return acc
 
 
 def volume_jacobian_coefficient(e: VectorField) -> ScalarField:
     """Quadratic wedge term of the volume multiplier for one mode field."""
-    return ScalarField(e.grid, _jacobian_wedge(*mode_gradient([c.values for c in e.components], e.grid)))
+    return ScalarField(e.grid, jacobian_wedge(*mode_gradient([c.values for c in e.components], e.grid)))
 
 
 def _realize(drift: Array, noise: list[Array], d: DiffeoIncrement) -> Array:
@@ -149,16 +142,11 @@ def perturb_0form(f: ScalarField, d: DiffeoIncrement) -> PerturbationResult:
     noise_i = e_i.grad f
     """
     grid = f.grid
-    fv = f.values
-    grads = _grad(fv, grid)
-    hess = _hessian(grads, grid)
-    modes = _mode_arrays(d)
-    drift = _mode_quadratic(modes, hess, grid)
+    grads = _grad(f.values, grid)
+    drift = _variance_quadratic(d.basis.geometry.amat, _hessian(grads, grid))
     if d.basis.has_drift:
-        a = _drift_arrays(d)
-        for p in range(grid.dim):
-            drift = drift + a[p] * grads[p]
-    noise = [sum(e[p] * grads[p] for p in range(grid.dim)) for e in modes]
+        drift = drift + _dot(_drift_arrays(d), grads)
+    noise = [_dot(e, grads) for e in _mode_arrays(d)]
     return _assemble(grid, drift, noise, d)
 
 
@@ -170,13 +158,8 @@ def perturb_volume_multiplier(d: DiffeoIncrement) -> PerturbationResult:
     incompressibility pair div e_i = 0 and d_p d_q (sum_i e_i^p e_i^q) = 0.
     """
     grid = d.grid
-    modes = _mode_arrays(d)
-    drift = _div(_drift_arrays(d), grid)
-    noise = []
-    for e in modes:
-        de, dive = mode_gradient(e, grid)
-        drift = drift + 0.5 * _jacobian_wedge(de, dive)
-        noise.append(dive)
+    drift = _div(_drift_arrays(d), grid) + 0.5 * d.basis.geometry.wedge
+    noise = [_div(e, grid) for e in _mode_arrays(d)]
     return _assemble(grid, drift, noise, d)
 
 
@@ -194,33 +177,22 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
     """
     grid = f.grid
     fv = f.values
+    geo = d.basis.geometry
     modes = _mode_arrays(d)
     a = _drift_arrays(d)
     grads = _grad(fv, grid)
     if mode is NFormMode.POINTWISE:
-        hess = _hessian(grads, grid)
-        drift = _div(a, grid) * fv + _mode_quadratic(modes, hess, grid)
+        drift = (_div(a, grid) + 0.5 * geo.wedge) * fv + _variance_quadratic(geo.amat, _hessian(grads, grid))
         for p in range(grid.dim):
-            drift = drift + a[p] * grads[p]
-        noise = []
-        for e in modes:
-            de, dive = mode_gradient(e, grid)
-            drift = drift + 0.5 * _jacobian_wedge(de, dive) * fv
-            for p in range(grid.dim):
-                drift = drift + e[p] * dive * grads[p]
-            noise.append(dive * fv + sum(e[p] * grads[p] for p in range(grid.dim)))
+            drift = drift + (a[p] + geo.e_div_e[p]) * grads[p]
+        noise = [_div(e, grid) * fv + _dot(e, grads) for e in modes]
         return _assemble(grid, drift, noise, d)
 
-    # flux form: drift = d_p [ F^p f + (1/2) sum_i e_i^p (e_i . grad f) ]
-    brackets = []
+    # flux form: drift = d_p [ (a^p + (1/2)(e^p div e - (e.grad) e^p)) f + (1/2) A^{pq} d_q f ]
+    drift = 0.0
     for p in range(grid.dim):
-        brackets.append(a[p] * fv)
-    for e in modes:
-        de, dive = mode_gradient(e, grid)
-        egradf = sum(e[q] * grads[q] for q in range(grid.dim))
-        for p, adv_p in enumerate(self_advection(e, de)):
-            brackets[p] = brackets[p] + 0.5 * (e[p] * dive - adv_p) * fv + 0.5 * e[p] * egradf
-    drift = sum(_d(brackets[p], p, grid) for p in range(grid.dim))
+        bracket = (a[p] + 0.5 * (geo.e_div_e[p] - geo.self_adv[p])) * fv + 0.5 * _dot(geo.amat[p], grads)
+        drift = drift + _d(bracket, p, grid)
     noise = [sum(_d(e[p] * fv, p, grid) for p in range(grid.dim)) for e in modes]
     return _assemble(grid, drift, noise, d)
 
@@ -235,31 +207,23 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     grid = v.grid
     if grid.dim < 2:
         raise ValueError("1-form transport needs dim >= 2")
-    modes = _mode_arrays(d)
+    amat = d.basis.geometry.amat    # first, so it is not built while the arrays below are live
     a = _drift_arrays(d)
     vv = [c.values for c in v.components]
     grads = [_grad(c, grid) for c in vv]      # grads[p][q] = d_q v^p
-    hess = [_hessian(g, grid) for g in grads]
-    da = [[_d(a[p], j, grid) for p in range(grid.dim)] for j in range(grid.dim)]
-    dmodes = [mode_gradient(e, grid)[0] for e in modes]     # dmodes[i][j][p] = d_j e_i^p
     drift = []
     for j in range(grid.dim):
-        dj = _mode_quadratic(modes, hess[j], grid)
+        dj = _variance_quadratic(amat, _hessian(grads[j], grid))
         for p in range(grid.dim):
-            dj = dj + a[p] * grads[j][p] + da[j][p] * vv[p]
-        for e, de in zip(modes, dmodes):
-            for p in range(grid.dim):
-                adv = sum(e[q] * grads[p][q] for q in range(grid.dim))
-                dj = dj + de[j][p] * adv
+            dj = dj + a[p] * grads[j][p] + _d(a[p], j, grid) * vv[p]
         drift.append(dj)
     noise = []
-    for e, de in zip(modes, dmodes):
-        comps = []
+    for e in _mode_arrays(d):
+        de = mode_gradient(e, grid)[0]                        # de[j][p] = d_j e^p
+        egrad = [_dot(e, grads[p]) for p in range(grid.dim)]  # e . grad v^p
         for j in range(grid.dim):
-            nj = sum(e[p] * grads[j][p] for p in range(grid.dim))
-            nj = nj + sum(de[j][p] * vv[p] for p in range(grid.dim))
-            comps.append(nj)
-        noise.append(comps)
+            drift[j] = drift[j] + _dot(de[j], egrad)
+        noise.append([egrad[j] + _dot(de[j], vv) for j in range(grid.dim)])
     return _assemble_vector(grid, drift, noise, d)
 
 
@@ -276,20 +240,13 @@ def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResul
     """
     grid = g.grid
     gv = g.values
-    modes = _mode_arrays(d)
+    geo = d.basis.geometry
     a = _drift_arrays(d)
     grads = _grad(gv, grid)
-    hess = _hessian(grads, grid)
-    drift = _div(a, grid) * gv + _mode_quadratic(modes, hess, grid)
+    drift = (_div(a, grid) + 0.5 * geo.wedge) * gv + _variance_quadratic(geo.amat, _hessian(grads, grid))
     for p in range(grid.dim):
-        drift = drift - a[p] * grads[p]
-    noise = []
-    for e in modes:
-        de, dive = mode_gradient(e, grid)
-        drift = drift + 0.5 * _jacobian_wedge(de, dive) * gv
-        for p, adv_p in enumerate(self_advection(e, de)):
-            drift = drift + (adv_p - e[p] * dive) * grads[p]
-        noise.append(dive * gv - sum(e[p] * grads[p] for p in range(grid.dim)))
+        drift = drift + (geo.self_adv[p] - geo.e_div_e[p] - a[p]) * grads[p]
+    noise = [_div(e, grid) * gv - _dot(e, grads) for e in _mode_arrays(d)]
     return _assemble(grid, drift, noise, d)
 
 

@@ -100,6 +100,10 @@ class Grid:
         return (np.asarray(disp) + 0.5 * ell) % ell - 0.5 * ell
 
 
+class NonFiniteError(ValueError):
+    """A field took a NaN or infinite value: the state has blown up."""
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """float64 samples of a scalar quantity on a Grid (row-major layout)."""
@@ -112,7 +116,7 @@ class ScalarField:
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod

@@ -10,7 +10,8 @@ sharing the *same* eta_i.  `inverse_increment` returns that increment, so
 `forward/inverse` and the variant-tensor transport all go through one code
 path; inverting twice restores the original coefficients exactly.  Its basis
 depends on the forward basis alone and is built once per basis
-(`NoiseBasis.inverse`).
+(`NoiseBasis.inverse`); its drift and modes reuse the forward basis's sums
+over modes (`NoiseBasis.geometry`), which are even in e.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ import numpy as np
 
 from .calculus import sample_vector_at
 from .grid import Array, VectorField
-from .noise import BrownianIncrements, NoiseBasis
+from .noise import BrownianIncrements, NoiseBasis, sample_increments
 
 
 class Convention(Enum):
-    """Which drift was installed in the basis when the increment was built."""
+    """Which drift a run configuration claims its basis carries."""
 
     RAW = "raw"
     LU = "lu"
@@ -40,7 +41,6 @@ class StepSizeError(RuntimeError):
 class DiffeoIncrement:
     basis: NoiseBasis
     increments: BrownianIncrements
-    convention: Convention = Convention.RAW
     safety: float = 1.0
 
     def __post_init__(self):
@@ -101,7 +101,7 @@ def forward_map(d: DiffeoIncrement, points: Array) -> Array:
 
 def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:
     """The increment realising T^{-1}: drift -a + (e.grad)e, modes -e_i, same eta."""
-    return DiffeoIncrement(d.basis.inverse, d.increments, d.convention, d.safety)
+    return DiffeoIncrement(d.basis.inverse, d.increments, d.safety)
 
 
 def inverse_map(d: DiffeoIncrement, points: Array) -> Array:
@@ -117,8 +117,6 @@ def composition_residual(d: DiffeoIncrement) -> float:
 
 
 def make_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator,
-                   convention: Convention = Convention.RAW, safety: float = 1.0) -> DiffeoIncrement:
+                   safety: float = 1.0) -> DiffeoIncrement:
     """Sample fresh Brownian increments and wrap them with the basis."""
-    from .noise import sample_increments
-
-    return DiffeoIncrement(basis, sample_increments(basis.n_modes, dt, rng), convention, safety)
+    return DiffeoIncrement(basis, sample_increments(basis.n_modes, dt, rng), safety)

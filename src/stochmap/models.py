@@ -22,7 +22,7 @@ from .forms import (
     pushforward_nvector,
 )
 from .grid import Grid, ScalarField, TensorClass, VectorField
-from .maps import Convention, DiffeoIncrement, inverse_increment, make_increment
+from .maps import DiffeoIncrement, inverse_increment, make_increment
 from .noise import NoiseBasis, ito_drift_correction
 
 Fieldish = Union[ScalarField, VectorField]
@@ -91,7 +91,6 @@ def two_step_forecast(
     dt: float,
     rng: np.random.Generator,
     *,
-    convention: Convention = Convention.RAW,
     nform_mode: NFormMode = NFormMode.FLUX,
     safety: float = 1.0,
     increment: DiffeoIncrement | None = None,
@@ -109,7 +108,7 @@ def two_step_forecast(
         tilde = dict(state)
     if basis.is_null and increment is None:
         return tilde
-    d = increment if increment is not None else make_increment(basis, dt, rng, convention, safety)
+    d = increment if increment is not None else make_increment(basis, dt, rng, safety)
     out: State = {}
     for k, field in tilde.items():
         out[k] = field + apply_increment(field, assignment[k], d, nform_mode)
@@ -145,14 +144,8 @@ def salt_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator,
                    safety: float = 1.0) -> DiffeoIncrement:
     """Map increment in the Stratonovich transport convention:
     drift (1/2)(e.grad)e, noise sign flipped."""
-    half = ito_drift_correction(basis, 0.5)
-    flipped = NoiseBasis(
-        basis.grid,
-        tuple(-e for e in basis.modes),
-        half,
-        divergence_free=basis.divergence_free,
-    )
-    return make_increment(flipped, dt, rng, Convention.SALT, safety)
+    flipped = basis.inverse.with_drift(ito_drift_correction(basis, 0.5))
+    return make_increment(flipped, dt, rng, safety)
 
 
 def lu_discrepancy_0form(d: DiffeoIncrement, f: ScalarField) -> float:
@@ -181,7 +174,7 @@ def lu_discrepancy_0form(d: DiffeoIncrement, f: ScalarField) -> float:
 
 def lu_correspondence_check(basis: NoiseBasis, f: ScalarField, dt: float,
                             rng: np.random.Generator) -> float:
-    d = make_increment(lu_basis(basis), dt, rng, Convention.LU)
+    d = make_increment(lu_basis(basis), dt, rng)
     return lu_discrepancy_0form(d, f)
 
 
@@ -226,7 +219,7 @@ def lu_discrepancy_nform(d: DiffeoIncrement, f: ScalarField) -> float:
 
 def lu_nform_check(basis: NoiseBasis, f: ScalarField, dt: float,
                    rng: np.random.Generator) -> float:
-    d = make_increment(lu_basis(basis), dt, rng, Convention.LU)
+    d = make_increment(lu_basis(basis), dt, rng)
     return lu_discrepancy_nform(d, f)
 
 
@@ -325,7 +318,6 @@ def tsw_spde_step(
     *,
     rhs_enabled: bool = True,
     nform_mode: NFormMode = NFormMode.FLUX,
-    convention: Convention = Convention.RAW,
     safety: float = 1.0,
     c_stab: float = 1.0,
     increment: DiffeoIncrement | None = None,
@@ -338,7 +330,7 @@ def tsw_spde_step(
     rhs = (lambda s: tsw_deterministic_rhs(TSWState(s["h"], s["theta"], s["u"]), params)) if rhs_enabled else None
     new = two_step_forecast(
         state.as_dict(), rhs, TSW_ASSIGNMENT, basis, dt, rng,
-        convention=convention, nform_mode=nform_mode, safety=safety,
+        nform_mode=nform_mode, safety=safety,
         increment=increment,
     )
     return TSWState(new["h"], new["theta"], new["u"])

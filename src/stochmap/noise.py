@@ -3,8 +3,11 @@
 A basis holds the deterministic drift ``a`` and the mode fields ``e_i`` of the
 per-step map x -> x + a*dt + sum_i e_i * deta_i.  Modes here are synthesised
 from a finite Fourier dictionary, which keeps derivatives analytic for the
-test oracles and makes divergence-free projection exact.  `mode_gradient` and
-`self_advection` are the one implementation of a mode's discrete geometry.
+test oracles and makes divergence-free projection exact.  `mode_gradient` is
+the one implementation of a mode's discrete gradient.  The drifts see the
+modes only through sums over them (the variance tensor sum_i e_i e_i^T and
+its companions), whose one home is `NoiseBasis.geometry`: built once per set
+of modes, and shared with the inverse basis since every sum is even in e.
 
 Divergence-free means divergence-free *for the discrete operator*: wave
 amplitudes are projected orthogonal to the modified wavevector
@@ -47,7 +50,7 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class NoiseBasis:
-    """Mode fields e_i and drift a on one grid."""
+    """Mode fields e_i and drift a on one grid; `geometry` holds their sums."""
 
     grid: Grid
     modes: tuple[VectorField, ...]
@@ -83,15 +86,62 @@ class NoiseBasis:
         """No modes and identically-zero drift: perturbation degenerates to nothing."""
         return self.n_modes == 0 and not self.has_drift
 
+    @cached_property
+    def geometry(self) -> "BasisGeometry":
+        """The sums over modes, built on first use."""
+        return BasisGeometry.of(self.grid, self.modes)
+
     def with_drift(self, drift: VectorField) -> "NoiseBasis":
-        return NoiseBasis(self.grid, self.modes, drift, self.divergence_free)
+        return self._sharing_geometry(self.modes, drift)
 
     @cached_property
     def inverse(self) -> "NoiseBasis":
         """Basis of the inverse map, built once per basis: modes -e_i and
         drift sum_i (e_i . grad) e_i - a (see `maps.inverse_increment`)."""
-        return NoiseBasis(self.grid, tuple(-e for e in self.modes),
-                          ito_drift_correction(self, 1.0) - self.drift, self.divergence_free)
+        return self._sharing_geometry(tuple(-e for e in self.modes),
+                                      ito_drift_correction(self, 1.0) - self.drift)
+
+    def _sharing_geometry(self, modes: tuple[VectorField, ...], drift: VectorField) -> "NoiseBasis":
+        """A basis with modes +-e_i and a new drift, reusing this basis's geometry."""
+        other = NoiseBasis(self.grid, modes, drift, self.divergence_free)
+        other.__dict__["geometry"] = self.geometry
+        return other
+
+
+@dataclass(frozen=True)
+class BasisGeometry:
+    """The sums over modes that every drift reads.
+
+    amat[p][q]  = sum_i e_i^p e_i^q, the variance tensor A (symmetric; the
+                  two triangles hold the same arrays)
+    wedge       = sum_i J_i, with J the `jacobian_wedge` of each mode
+    e_div_e[p]  = sum_i e_i^p div e_i
+    self_adv[p] = sum_i (e_i . grad) e_i^p
+    """
+
+    amat: list[list[Array]]
+    wedge: Array
+    e_div_e: list[Array]
+    self_adv: list[Array]
+
+    @classmethod
+    def of(cls, grid: Grid, modes: Sequence[VectorField]) -> "BasisGeometry":
+        dim = grid.dim
+        upper = {(p, q): np.zeros(grid.shape) for p in range(dim) for q in range(p, dim)}
+        wedge = np.zeros(grid.shape)
+        e_div_e = [np.zeros(grid.shape) for _ in range(dim)]
+        self_adv = [np.zeros(grid.shape) for _ in range(dim)]
+        for mode in modes:
+            e = [c.values for c in mode.components]
+            de, dive = mode_gradient(e, grid)
+            wedge += jacobian_wedge(de, dive)
+            for p in range(dim):
+                e_div_e[p] += e[p] * dive
+                self_adv[p] += sum(de[q][p] * e[q] for q in range(dim))
+                for q in range(p, dim):
+                    upper[p, q] += e[p] * e[q]
+        amat = [[upper[min(p, q), max(p, q)] for q in range(dim)] for p in range(dim)]
+        return cls(amat, wedge, e_div_e, self_adv)
 
 
 @dataclass(frozen=True)
@@ -175,9 +225,13 @@ def mode_gradient(e: Sequence[Array], grid: Grid) -> tuple[list[list[Array]], Ar
     return de, sum(de[p][p] for p in range(grid.dim))
 
 
-def self_advection(e: Sequence[Array], de: list[list[Array]]) -> list[Array]:
-    """(e . grad) e^p = sum_q e^q d_q e^p, from the mode's `mode_gradient`."""
-    return [sum(de[q][p] * e[q] for q in range(len(e))) for p in range(len(e))]
+def jacobian_wedge(de: list[list[Array]], dive: Array) -> Array:
+    """J = (div e)^2 - sum_pq (d_p e^q)(d_q e^p), identically zero in 1D."""
+    acc = dive * dive
+    for p in range(len(de)):
+        for q in range(len(de)):
+            acc = acc - de[p][q] * de[q][p]
+    return acc
 
 
 def ito_drift_correction(basis: NoiseBasis, factor: float = 1.0) -> VectorField:
@@ -187,10 +241,4 @@ def ito_drift_correction(basis: NoiseBasis, factor: float = 1.0) -> VectorField:
     equations written with the Ito advecting velocity; factor 1/2 gives the
     Stratonovich-corrected drift.
     """
-    grid = basis.grid
-    comps = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    for e in basis.modes:
-        ev = [c.values for c in e.components]
-        for p, adv in enumerate(self_advection(ev, mode_gradient(ev, grid)[0])):
-            comps[p] += adv
-    return VectorField.from_arrays(grid, [factor * c for c in comps])
+    return VectorField.from_arrays(basis.grid, [factor * c for c in basis.geometry.self_adv])

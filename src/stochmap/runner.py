@@ -18,7 +18,7 @@ from . import __version__
 from .calculus import integrate
 from .config import RunConfig
 from .fldio import write_field
-from .grid import Grid, TensorClass, VectorField
+from .grid import Grid, NonFiniteError, TensorClass, VectorField
 from .invariants import DiagnosticSeries, tsw_invariants
 from .maps import StepSizeError
 from .models import (
@@ -36,7 +36,8 @@ OUTPUT_DIR_ENV = "STOCHMAP_OUTDIR"
 
 
 class RuntimeAbort(RuntimeError):
-    """A stability/positivity/step-size guard fired during the run."""
+    """A stability/positivity/step-size guard fired during the run, or the
+    state went non-finite."""
 
 
 @dataclass
@@ -112,7 +113,7 @@ def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
             record(step * config.dt, state)
             if _snapshot_due(config, step):
                 snap(step, state)
-    except (StabilityError, PositivityError, StepSizeError) as err:
+    except (StabilityError, PositivityError, StepSizeError, NonFiniteError) as err:
         raise RuntimeAbort(f"step {step}: {err}") from err
     finally:
         for rec in series:
@@ -139,7 +140,6 @@ def _run_tsw(config, grid, basis, rng, out_dir: Path, member: int) -> list[Diagn
             s, params, basis, config.dt, rng,
             rhs_enabled=config.rhs_enabled,
             nform_mode=config.nform_mode,
-            convention=config.convention,
             safety=config.safety,
             c_stab=config.c_stab,
         )
@@ -182,7 +182,6 @@ def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bo
         check_stability(grid, config.dt, vel_extra + vel_noise, diff_extra + diff_noise, config.c_stab)
         return two_step_forecast(
             state, rhs, assignment, basis, config.dt, rng,
-            convention=config.convention,
             nform_mode=config.nform_mode,
             safety=config.safety,
         )

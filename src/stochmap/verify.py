@@ -82,8 +82,7 @@ def verify_suite(config: RunConfig, *, include_slow: bool = True) -> list[CheckR
         lu_b = basis
     else:
         lu_b = lu_basis(basis)
-    d_lu = make_increment(lu_b, config.dt, np.random.default_rng(config.seed + 1),
-                          Convention.LU, safety=config.safety)
+    d_lu = make_increment(lu_b, config.dt, np.random.default_rng(config.seed + 1), safety=config.safety)
     # The 0-form check also covers the closed-form inverse collapsing to a
     # pure noise shift under this drift; both break together if the installed
     # drift is wrong.
@@ -113,14 +112,13 @@ def verify_suite(config: RunConfig, *, include_slow: bool = True) -> list[CheckR
         grid if grid.dim == 2 else Grid((32, 32), (2 * np.pi, 2 * np.pi)),
         [ModeSpec(k=(1, 0), amplitude=(0.0, 0.2)), ModeSpec(k=(0, 2), amplitude=(0.15, 0.0))],
     )
-    d_vol = make_increment(lu_basis(vol_basis), config.dt, np.random.default_rng(config.seed + 2), Convention.LU)
+    d_vol = make_increment(lu_basis(vol_basis), config.dt, np.random.default_rng(config.seed + 2))
     vol = perturb_volume_multiplier(d_vol)
     checks.append(_below("volume_multiplier_incompressible", float(np.abs(vol.realized.values).max()), 1e-10,
                          note="shear-mode basis"))
 
     # --- exact flux conservation -------------------------------------------
-    d_any = make_increment(basis, config.dt, np.random.default_rng(config.seed + 3),
-                           config.convention, safety=config.safety)
+    d_any = make_increment(basis, config.dt, np.random.default_rng(config.seed + 3), safety=config.safety)
     r = perturb_nform(f, d_any, NFormMode.FLUX)
     mass_rel = abs(integrate(r.realized)) / max(abs(integrate(f)), 1e-30)
     checks.append(_below("nform_flux_integral", mass_rel, 1e-12))
@@ -150,7 +148,8 @@ def verify_suite(config: RunConfig, *, include_slow: bool = True) -> list[CheckR
         weak = weak_advection_study(seed=config.seed)
         checks.append(_below("weak_advection_mean_l2", max(weak["errors"]), 0.02))
         dratio = fit_loglog_slope(weak["dts"][:-1], weak["coupled_diffs"])
-        checks.append(_above("weak_advection_order", dratio, 0.8, note="coupled-refinement slope"))
+        checks.append(_above("weak_advection_order", dratio, 0.8,
+                             note="coupled-refinement slope; sampling noise fails 38 of seeds 0-999"))
 
     return checks
 

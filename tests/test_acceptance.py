@@ -142,7 +142,7 @@ def test_criterion_4_incompressible_volume_form():
         [ModeSpec(k=(1, 0), amplitude=(0.0, 0.25)), ModeSpec(k=(0, 2), amplitude=(0.2, 0.0))],
     ))
     t0 = time.perf_counter()
-    d = make_increment(basis, 1e-3, np.random.default_rng(6), Convention.LU)
+    d = make_increment(basis, 1e-3, np.random.default_rng(6))
     worst = float(np.abs(perturb_volume_multiplier(d).realized.values).max())
     elapsed = time.perf_counter() - t0
     report(4, "incompressible_volume", worst < 1e-10 and elapsed < 1,

@@ -3,10 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochmap.cli import EXIT_RUNTIME, main
 from stochmap.config import ConfigError, RunConfig, load_config, parse_config_text, config_from_sections
 from stochmap.fldio import describe_field, read_field, write_field
 from stochmap.forms import NFormMode
-from stochmap.grid import Grid, ScalarField
+from stochmap.grid import Grid, NonFiniteError, ScalarField
 from stochmap.maps import Convention
 from stochmap.runner import RuntimeAbort, run_simulation, resolve_output_dir
 from stochmap.runner_support import build_basis
@@ -292,3 +293,34 @@ def test_aborted_run_keeps_step_and_diagnostics(tmp_path):
     assert [float(r.split(",")[0]) for r in rows[1:]] == [k * cfg.dt for k in range(4)]
     for name in ("energy", "momentum_x", "momentum_y"):
         assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 5
+
+
+BLOWUP_CONFIG = """
+[grid]
+points = 32 32
+
+[run]
+model = advection
+dt = 0.05
+n_steps = 3000
+c_stab = 1e12
+
+[advection]
+diffusivity = 1.0
+
+[output]
+directory = OUT
+"""
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_nonfinite_state_aborts_with_step(tmp_path):
+    # explicit diffusion at five times its stability limit, with the guard
+    # switched off by a huge c_stab, overflows after some 1500 steps
+    path = tmp_path / "blowup.cfg"
+    path.write_text(BLOWUP_CONFIG.replace("OUT", str(tmp_path / "out")))
+    with pytest.raises(RuntimeAbort, match=r"^step \d+: field values must be finite") as info:
+        run_simulation(load_config(path))
+    assert isinstance(info.value.__cause__, NonFiniteError)
+    assert (tmp_path / "out" / "total_integral.csv").exists()
+    assert main(["simulate", str(path)]) == EXIT_RUNTIME

@@ -3,7 +3,7 @@ import pytest
 
 from stochmap.grid import Grid, ScalarField, TensorClass, VectorField
 from stochmap.calculus import integrate, sample_at
-from stochmap.noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
+from stochmap.noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis, fourier_mode_field
 from stochmap.maps import DiffeoIncrement, inverse_increment, inverse_map, make_increment
 from stochmap.forms import (
     NFormMode,
@@ -368,25 +368,28 @@ def test_closed_forms_track_oracle_at_small_dt(cls):
 
 def test_volume_multiplier_matches_determinant_oracle():
     # antithetic pair mean of (det J - 1) equals drift*dt up to the O(dt^2)
-    # determinant tail; the eta-linear parts are identical stencils
+    # determinant tail; the eta-linear parts are identical stencils.  The
+    # second basis's mode sums two non-parallel waves, so its Jacobian wedge
+    # (zero for one plane wave) moves the mean by about 12 times the bound.
     g = grid2()
-    basis = build_fourier_basis(
-        g,
-        [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False)],
-        drift=VectorField(
-            g,
-            (smooth(g, lambda x, y: 0.1 * np.sin(x)), ScalarField.zeros(g)),
-        ),
+    drift = VectorField(g, (smooth(g, lambda x, y: 0.1 * np.sin(x)), ScalarField.zeros(g)))
+    two_wave = (
+        fourier_mode_field(g, ModeSpec(k=(1, 1), amplitude=(0.24, 0.15), solenoidal=False), "sin")
+        + fourier_mode_field(g, ModeSpec(k=(2, 0), amplitude=(0.09, 0.18), solenoidal=False), "cos")
     )
     dt = 1e-3
-    mean = np.zeros(g.shape)
-    for sign in (1.0, -1.0):
-        d = DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([sign * np.sqrt(dt)])))
-        mean += 0.5 * (oracle_remap(TensorClass.VOLUME_FORM, None, d).values - 1.0)
-    drift = perturb_volume_multiplier(
-        DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([0.0])))
-    ).drift
-    assert np.abs(mean - drift.values * dt).max() < 5 * dt**2
+    for basis in (
+        build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False)], drift=drift),
+        NoiseBasis(g, (two_wave,), drift),
+    ):
+        mean = np.zeros(g.shape)
+        for sign in (1.0, -1.0):
+            d = DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([sign * np.sqrt(dt)])))
+            mean += 0.5 * (oracle_remap(TensorClass.VOLUME_FORM, None, d).values - 1.0)
+        result = perturb_volume_multiplier(
+            DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([0.0])))
+        )
+        assert np.abs(mean - result.drift.values * dt).max() < 5 * dt**2
 
 
 def test_1form_3d_oracle_consistency():

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from stochmap.grid import Grid, VectorField
-from stochmap.noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis, ito_drift_correction
+from stochmap.noise import (
+    BasisGeometry,
+    BrownianIncrements,
+    ModeSpec,
+    NoiseBasis,
+    build_fourier_basis,
+    ito_drift_correction,
+)
 from stochmap.maps import (
-    Convention,
     DiffeoIncrement,
     StepSizeError,
     composition_residual,
@@ -103,6 +109,19 @@ def test_inverse_basis_is_built_once_per_basis():
     assert second.basis is basis.inverse
 
 
+def test_geometry_is_built_once_per_set_of_modes():
+    # every sum over modes is even in e, so the inverse basis (modes -e_i) and
+    # a basis with another drift share the forward basis's geometry
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False),
+                                    ModeSpec(k=(2, 1), amplitude=(0.1, 0.0))])
+    assert basis.inverse.geometry is basis.geometry
+    assert basis.with_drift(VectorField.constant(g, (0.1, 0.0))).geometry is basis.geometry
+    flipped = BasisGeometry.of(g, basis.inverse.modes)
+    for name in ("wedge", "e_div_e", "self_adv", "amat"):
+        assert np.array_equal(getattr(flipped, name), getattr(basis.geometry, name))
+
+
 def test_double_inverse_restores_coefficients():
     g = Grid((48, 48), (TWO_PI, TWO_PI))
     basis = build_fourier_basis(
@@ -154,9 +173,3 @@ def test_displacement_field_matches_definition():
     assert np.allclose(disp.components[0].values, expect0, atol=1e-15)
     assert np.allclose(disp.components[1].values, expect1, atol=1e-15)
 
-
-def test_make_increment_uses_convention_tag():
-    g = coarse_grid()
-    basis = build_fourier_basis(g, [ModeSpec(k=(0, 0), amplitude=(0.1, 0.0))])
-    d = make_increment(basis, 1e-3, np.random.default_rng(3), Convention.LU)
-    assert d.convention is Convention.LU

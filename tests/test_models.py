@@ -3,8 +3,8 @@ import pytest
 
 from stochmap.grid import Grid, ScalarField, TensorClass, VectorField
 from stochmap.calculus import derivative, integrate
-from stochmap.noise import ModeSpec, NoiseBasis, build_fourier_basis, ito_drift_correction
-from stochmap.maps import Convention, forward_map, make_increment
+from stochmap.noise import ModeSpec, NoiseBasis, build_fourier_basis, fourier_mode_field, ito_drift_correction
+from stochmap.maps import forward_map, make_increment
 from stochmap.forms import NFormMode, perturb_0form
 from stochmap.models import (
     PositivityError,
@@ -41,6 +41,14 @@ def three_mode_basis(g):
             ModeSpec(k=(1, 1), amplitude=(0.1, 0.1), solenoidal=False),
         ],
     )
+
+
+def two_wave_basis(g):
+    # one compressive mode that sums two non-parallel waves: unlike a single
+    # plane wave it has e div e != (e.grad) e and a nonzero Jacobian wedge
+    e = (fourier_mode_field(g, ModeSpec(k=(1, 1), amplitude=(0.08, 0.05), solenoidal=False), "sin")
+         + fourier_mode_field(g, ModeSpec(k=(2, 0), amplitude=(0.03, 0.06), solenoidal=False), "cos"))
+    return NoiseBasis(g, (e,), VectorField.zeros(g))
 
 
 def smooth(g, fn):
@@ -143,8 +151,9 @@ def test_advection_rhs_matches_fourier_symbol_oracle():
 def test_lu_correspondence_0form_any_basis():
     g = grid2()
     f = smooth(g, lambda x, y: 1.0 + 0.5 * np.sin(x) * np.cos(y) + 0.2 * np.cos(2 * y))
-    disc = lu_correspondence_check(three_mode_basis(g), f, 1e-3, np.random.default_rng(3))
-    assert disc < 1e-12
+    for basis in (three_mode_basis(g), two_wave_basis(g)):
+        disc = lu_correspondence_check(basis, f, 1e-3, np.random.default_rng(3))
+        assert disc < 1e-12
 
 
 def test_lu_correspondence_constant_mode_trivial():
@@ -158,15 +167,16 @@ def test_lu_correspondence_constant_mode_trivial():
 def test_lu_nform_reynolds_any_basis():
     g = grid2()
     f = smooth(g, lambda x, y: 1.0 + 0.4 * np.cos(x + y))
-    disc = lu_nform_check(three_mode_basis(g), f, 1e-3, np.random.default_rng(5))
-    assert disc < 1e-10
+    for basis in (three_mode_basis(g), two_wave_basis(g)):
+        disc = lu_nform_check(basis, f, 1e-3, np.random.default_rng(5))
+        assert disc < 1e-10
 
 
 def test_lu_checks_detect_missing_drift():
     g = grid2()
     basis = three_mode_basis(g)  # nonzero correction drift required
     f = smooth(g, lambda x, y: 1.0 + 0.5 * np.sin(x) * np.cos(y))
-    d_bad = make_increment(basis, 1e-3, np.random.default_rng(6), Convention.LU)
+    d_bad = make_increment(basis, 1e-3, np.random.default_rng(6))
     assert lu_discrepancy_0form(d_bad, f) > 1e-8
     assert lu_discrepancy_nform(d_bad, f) > 1e-8
 
@@ -174,7 +184,7 @@ def test_lu_checks_detect_missing_drift():
 def test_lu_inverse_map_is_pure_noise_shift():
     g = grid2()
     basis = lu_basis(three_mode_basis(g))
-    d = make_increment(basis, 1e-3, np.random.default_rng(7), Convention.LU)
+    d = make_increment(basis, 1e-3, np.random.default_rng(7))
     from stochmap.maps import inverse_map
 
     pts = g.points()
@@ -190,7 +200,6 @@ def test_salt_increment_drift_and_noise_sign():
     g = grid2()
     basis = three_mode_basis(g)
     d = salt_increment(basis, 1e-3, np.random.default_rng(8))
-    assert d.convention is Convention.SALT
     half = ito_drift_correction(basis, 0.5)
     full = ito_drift_correction(basis, 1.0)
     for p in range(2):
