@@ -35,6 +35,7 @@ Example::
     directory = out
 
 Sections are flat; keys may repeat only where noted (``mode``, ``drift_mode``).
+An unknown section or key is a ``ConfigError``.
 Values: numbers, ``true``/``false``, bare words, whitespace-separated number
 lists, ``[a, b]`` lists, and inline tables ``{k = [...], amp = [...]}``.
 Command-line overrides use ``--set section.key=value``.
@@ -241,11 +242,27 @@ def _mode_spec_from_table(table: dict, where: str) -> ModeSpec:
         raise ConfigError(f"{where}: {err}") from err
 
 
+# the keys each section reads
+_KEYS = {
+    "grid": {"points", "extents"},
+    "noise": {"mode", "drift", "drift_mode", "safety"},
+    "run": {"model", "dt", "n_steps", "ensemble", "seed", "snapshot_interval", "c_stab",
+            "convention", "nform_mode", "rhs"},
+    "tsw": {"kappa", "h0", "theta0", "fcor", "ic", "ic_amplitude"},
+    "advection": {"velocity", "diffusivity", "ic_amplitude"},
+    "scalar": {"tensor_class", "ic_amplitude"},
+    "output": {"directory"},
+}
+
+
 def config_from_sections(sections: dict[str, dict[str, Any]], raw_text: str = "") -> RunConfig:
-    known = {"grid", "noise", "run", "tsw", "advection", "scalar", "output"}
-    unknown = set(sections) - known
+    unknown = set(sections) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
+    for name, table in sections.items():
+        extra = set(table) - _KEYS[name]
+        if extra:
+            raise ConfigError(f"[{name}] unknown keys {sorted(extra)}")
     kw: dict[str, Any] = {"raw_text": raw_text}
     g = sections.get("grid", {})
     if "points" in g:

@@ -19,8 +19,9 @@ density contrast built on it) transports the variant part along the
 `pushforward_nvector(g, inverse_increment(d))`, which `perturb_mixed_pair`
 does for you.
 
-Internals work on raw arrays (these assemblies sit in the inner loop of
-ensemble runs); only the returned parts are wrapped as fields.  Every
+The operators work on raw arrays (these assemblies sit in the inner loop of
+ensemble runs), and so are the drift and noise parts they return (a list of
+dim arrays per 1-form part); only the realised increment is a field.  Every
 stencil goes through the one periodic kernel `calculus.centered_difference`.
 The drifts read the sums over modes (A = sum_i e_i e_i^T, sum_i J_i,
 sum_i e_i div e_i, sum_i (e_i . grad) e_i) from their one home,
@@ -55,8 +56,10 @@ class NFormMode(Enum):
 
 @dataclass(frozen=True)
 class PerturbationResult:
-    drift: Fieldish
-    noise: tuple[Fieldish, ...]
+    """Drift and noise parts as raw arrays (lists of dim arrays for a 1-form); the realisation as a field."""
+
+    drift: Union[Array, list[Array]]
+    noise: tuple[Union[Array, list[Array]], ...]
     realized: Fieldish
 
 
@@ -116,20 +119,12 @@ def _realize(drift: Array, noise: list[Array], d: DiffeoIncrement) -> Array:
 
 
 def _assemble(grid: Grid, drift: Array, noise: list[Array], d: DiffeoIncrement) -> PerturbationResult:
-    return PerturbationResult(
-        ScalarField(grid, drift),
-        tuple(ScalarField(grid, nv) for nv in noise),
-        ScalarField(grid, _realize(drift, noise, d)),
-    )
+    return PerturbationResult(drift, tuple(noise), ScalarField(grid, _realize(drift, noise, d)))
 
 
 def _assemble_vector(grid: Grid, drift: list[Array], noise: list[list[Array]], d: DiffeoIncrement) -> PerturbationResult:
     realized = [_realize(drift[j], [nvs[j] for nvs in noise], d) for j in range(grid.dim)]
-    return PerturbationResult(
-        VectorField.from_arrays(grid, drift),
-        tuple(VectorField.from_arrays(grid, nvs) for nvs in noise),
-        VectorField.from_arrays(grid, realized),
-    )
+    return PerturbationResult(drift, tuple(noise), VectorField.from_arrays(grid, realized))
 
 
 # ---------------------------------------------------------------------------

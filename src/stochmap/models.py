@@ -13,6 +13,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
+from .calculus import centered_difference as _d
 from .calculus import derivative, second_derivative
 from .forms import (
     NFormMode,
@@ -124,10 +125,10 @@ def advection_diffusion_rhs(f: ScalarField, u_adv: VectorField, diffusivity: flo
         raise ValueError(f"diffusivity must be nonnegative, got {diffusivity}")
     out = np.zeros(f.grid.shape)
     for p in range(f.grid.dim):
-        df = derivative(f, p)
-        out -= u_adv.components[p].values * df.values
+        df = _d(f.values, p, f.grid)
+        out -= u_adv.components[p].values * df
         if diffusivity:
-            out += diffusivity * derivative(df, p).values
+            out += diffusivity * _d(df, p, f.grid)
     return f.with_values(out)
 
 
@@ -285,28 +286,22 @@ def tsw_deterministic_rhs(state: TSWState, params: TSWParams) -> State:
     du/dt     = -(u.grad)u - f zhat x u - grad(h Theta) + (1/2) h grad Theta
     """
     grid = state.grid
-    h, theta, u = state.h, state.theta, state.u
-    dh = -sum(
-        (derivative(h * u.components[p], p) for p in range(2)),
-        start=ScalarField.zeros(grid),
-    )
-    dtheta = ScalarField.zeros(grid)
-    for p in range(2):
-        dtheta = dtheta - u.components[p] * derivative(theta, p)
-    dtheta = dtheta - params.kappa * (h * theta - params.h0 * params.theta0)
+    h, theta = state.h.values, state.theta.values
+    u = [c.values for c in state.u.components]
     htheta = h * theta
-    du = []
-    coriolis = (params.fcor * u.components[1], -params.fcor * u.components[0])
-    for j in range(2):
-        dj = coriolis[j] - derivative(htheta, j) + 0.5 * h * derivative(theta, j)
-        for p in range(2):
-            dj = dj - u.components[p] * derivative(u.components[j], p)
-        du.append(dj)
-    return {"h": dh, "theta": dtheta, "u": VectorField(grid, tuple(du))}
+    grad_theta = [_d(theta, p, grid) for p in range(2)]
+    # dh and dtheta start from 0.0, which fixes the sign of their zeros
+    dh = -(0.0 + _d(h * u[0], 0, grid) + _d(h * u[1], 1, grid))
+    dtheta = 0.0 - u[0] * grad_theta[0] - u[1] * grad_theta[1]
+    dtheta = dtheta - params.kappa * (htheta - params.h0 * params.theta0)
+    coriolis = (params.fcor * u[1], -params.fcor * u[0])
+    du = [coriolis[j] - _d(htheta, j, grid) + 0.5 * h * grad_theta[j]
+          - u[0] * _d(u[j], 0, grid) - u[1] * _d(u[j], 1, grid) for j in range(2)]
+    return {"h": ScalarField(grid, dh), "theta": ScalarField(grid, dtheta), "u": VectorField.from_arrays(grid, du)}
 
 
 def tsw_gravity_wave_speed(state: TSWState) -> float:
-    return float(np.sqrt((state.h * state.theta).max()))
+    return float(np.sqrt((state.h.values * state.theta.values).max()))
 
 
 def tsw_spde_step(

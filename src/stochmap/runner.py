@@ -104,6 +104,7 @@ def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
     The series are written whether the run completes or a guard aborts it, so
     an aborted run keeps the diagnostics of every step it finished.
     """
+    step = 0
     try:
         record(0.0, state)
         if _snapshot_due(config, 0):

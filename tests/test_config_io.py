@@ -85,9 +85,14 @@ def test_key_outside_section_rejected():
         parse_config_text("dt = 1\n")
 
 
-def test_unknown_section_rejected():
+def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError):
         config_from_sections(parse_config_text("[nope]\nx = 1\n"))
+    # a misspelt key of a known section, in the text and as an override
+    with pytest.raises(ConfigError, match=r"^\[run\] unknown keys \['n_step'\]$"):
+        config_from_sections(parse_config_text("[run]\nn_step = 3\n"))
+    with pytest.raises(ConfigError, match=r"^\[run\] unknown keys \['n_step'\]$"):
+        load_config(write_config(tmp_path), ["run.n_step=3"])
 
 
 def test_bad_model_rejected():
@@ -324,3 +329,16 @@ def test_nonfinite_state_aborts_with_step(tmp_path):
     assert isinstance(info.value.__cause__, NonFiniteError)
     assert (tmp_path / "out" / "total_integral.csv").exists()
     assert main(["simulate", str(path)]) == EXIT_RUNTIME
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_nonfinite_initial_state_aborts_at_step_0(tmp_path):
+    # the energy density of h0 = 1e200 overflows as the initial state is recorded
+    overrides = ["tsw.h0=1e200", "run.n_steps=3", f"output.directory={tmp_path / 'out'}"]
+    with pytest.raises(RuntimeAbort, match=r"^step 0: field values must be finite") as info:
+        run_simulation(load_config(CONFIGS / "tsw.cfg", overrides))
+    assert isinstance(info.value.__cause__, NonFiniteError)
+    argv = ["simulate", str(CONFIGS / "tsw.cfg")]
+    for ov in overrides:
+        argv += ["--set", ov]
+    assert main(argv) == EXIT_RUNTIME

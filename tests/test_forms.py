@@ -54,7 +54,7 @@ def test_0form_pure_drift_advection_1d():
     f = smooth(g, np.sin)
     r = perturb_0form(f, d)
     x = g.coords()[0]
-    assert np.abs(r.drift.values - np.cos(x)).max() < 2 * g.spacing[0] ** 2
+    assert np.abs(r.drift - np.cos(x)).max() < 2 * g.spacing[0] ** 2
     assert r.noise == ()
 
 
@@ -66,9 +66,9 @@ def test_0form_constant_mode_analytic():
     r = perturb_0form(f, d)
     x, _ = g.coords()
     h = g.spacing[0]
-    assert np.abs(r.drift.values + 0.5 * np.sin(x)).max() < h**2
-    assert np.abs(r.noise[0].values - np.cos(x)).max() < h**2
-    combo = r.drift.values * d.dt + r.noise[0].values * d.increments.eta[0]
+    assert np.abs(r.drift + 0.5 * np.sin(x)).max() < h**2
+    assert np.abs(r.noise[0] - np.cos(x)).max() < h**2
+    combo = r.drift * d.dt + r.noise[0] * d.increments.eta[0]
     assert np.array_equal(r.realized.values, combo)
 
 
@@ -127,6 +127,48 @@ def test_every_operator_linear_in_the_field(op):
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+@pytest.mark.parametrize("op", ["0form", "nform_flux", "nform_pointwise", "1form", "nvector", "volume"])
+def test_parts_are_arrays_that_compose_the_realisation(op):
+    # drift and noise are raw arrays of the grid shape (a list of dim arrays
+    # per 1-form part); the realised field is drift*dt + sum_i noise_i*eta_i,
+    # accumulated in that order, bit for bit
+    g = grid2(32)
+    two_wave = (
+        fourier_mode_field(g, ModeSpec(k=(1, 1), amplitude=(0.08, 0.05), solenoidal=False), "sin")
+        + fourier_mode_field(g, ModeSpec(k=(2, 0), amplitude=(0.03, 0.06), solenoidal=False), "cos")
+    )
+    shear = build_fourier_basis(g, [ModeSpec(k=(1, 0), amplitude=(0.0, 0.2))]).modes
+    drift = VectorField(g, (smooth(g, lambda x, y: 0.1 * np.sin(y)), ScalarField.constant(g, -0.05)))
+    basis = NoiseBasis(g, shear + (two_wave,), drift)
+    d = make_increment(basis, 1e-3, np.random.default_rng(4))
+    f = smooth(g, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(2 * y))
+    v = VectorField(g, (f, smooth(g, lambda x, y: 0.5 * np.cos(x + y))))
+    r = {
+        "0form": lambda: perturb_0form(f, d),
+        "nform_flux": lambda: perturb_nform(f, d, NFormMode.FLUX),
+        "nform_pointwise": lambda: perturb_nform(f, d, NFormMode.POINTWISE),
+        "1form": lambda: perturb_1form(v, d),
+        "nvector": lambda: pushforward_nvector(f, d),
+        "volume": lambda: perturb_volume_multiplier(d),
+    }[op]()
+    parts = [r.drift, *r.noise]
+    assert len(r.noise) == len(basis.modes)
+    if op == "1form":
+        assert isinstance(r.realized, VectorField)
+        assert all(isinstance(part, list) and len(part) == g.dim for part in parts)
+        per_component = [([part[j] for part in parts], r.realized.components[j]) for j in range(g.dim)]
+    else:
+        assert isinstance(r.realized, ScalarField)
+        per_component = [(parts, r.realized)]
+    for (drift_j, *noise_j), realized in per_component:
+        for part in (drift_j, *noise_j):
+            assert isinstance(part, np.ndarray) and part.shape == g.shape
+        expect = drift_j * d.dt
+        for nv, eta in zip(noise_j, d.increments.eta):
+            expect = expect + nv * float(eta)
+        assert np.array_equal(realized.values, expect)
+
+
 # --- volume multiplier ------------------------------------------------------
 
 def test_volume_multiplier_solenoidal_constant_modes():
@@ -146,7 +188,7 @@ def test_volume_multiplier_divergent_drift():
     d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.zeros(0)))
     r = perturb_volume_multiplier(d)
     x, _ = g.coords()
-    assert np.abs(r.drift.values - np.cos(x)).max() < 2 * g.spacing[0] ** 2
+    assert np.abs(r.drift - np.cos(x)).max() < 2 * g.spacing[0] ** 2
 
 
 def test_volume_multiplier_lu_incompressible_basis_is_identity():
@@ -243,9 +285,9 @@ def test_1form_gradient_coupling_term():
     v = VectorField.constant(g, (1.0, 0.0))
     r = perturb_1form(v, d)
     _, y = g.coords()
-    assert np.abs(r.noise[0].components[1].values - np.cos(y)).max() < g.spacing[1] ** 2
-    assert np.abs(r.noise[0].components[0].values).max() < 1e-15
-    assert np.abs(r.drift.components[0].values).max() < 1e-15
+    assert np.abs(r.noise[0][1] - np.cos(y)).max() < g.spacing[1] ** 2
+    assert np.abs(r.noise[0][0]).max() < 1e-15
+    assert np.abs(r.drift[0]).max() < 1e-15
 
 
 def test_1form_requires_two_dimensions():
@@ -266,8 +308,8 @@ def test_nvector_constant_mode_signs():
     r = pushforward_nvector(f, d)
     x, _ = g.coords()
     h = g.spacing[0]
-    assert np.abs(r.drift.values + 0.5 * np.sin(x)).max() < h**2
-    assert np.abs(r.noise[0].values + np.cos(x)).max() < h**2  # opposite sign to 0-form
+    assert np.abs(r.drift + 0.5 * np.sin(x)).max() < h**2
+    assert np.abs(r.noise[0] + np.cos(x)).max() < h**2  # opposite sign to 0-form
 
 
 def test_nvector_constant_field_keeps_wedge_term():
@@ -280,9 +322,9 @@ def test_nvector_constant_field_keeps_wedge_term():
     d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.array([0.01])))
     const = ScalarField.constant(g, 2.0)
     r = pushforward_nvector(const, d)
-    assert np.abs(r.noise[0].values).max() < 1e-15
+    assert np.abs(r.noise[0]).max() < 1e-15
     expect = 0.5 * volume_jacobian_coefficient(e).values * 2.0
-    assert np.allclose(r.drift.values, expect, atol=1e-14)
+    assert np.allclose(r.drift, expect, atol=1e-14)
 
 
 # --- mixed pair -------------------------------------------------------------
@@ -389,7 +431,7 @@ def test_volume_multiplier_matches_determinant_oracle():
         result = perturb_volume_multiplier(
             DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([0.0])))
         )
-        assert np.abs(mean - result.drift.values * dt).max() < 5 * dt**2
+        assert np.abs(mean - result.drift * dt).max() < 5 * dt**2
 
 
 def test_1form_3d_oracle_consistency():

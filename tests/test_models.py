@@ -513,7 +513,7 @@ def test_martingale_noise_mean_decays():
         for _ in range(members):
             d = make_increment(basis, dt, rng)
             r = perturb_0form(f, d)
-            acc += r.realized.values - r.drift.values * dt
+            acc += r.realized.values - r.drift * dt
         return np.sqrt(np.mean((acc / members) ** 2))
 
     scale = np.sqrt(dt) * 0.3 * 0.5  # ~ |N| sqrt(dt)

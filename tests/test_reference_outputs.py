@@ -59,8 +59,10 @@ def fingerprint(values) -> list[float]:
 
 def _field_arrays(name: str, field) -> dict[str, np.ndarray]:
     if isinstance(field, VectorField):
-        return {f"{name}[{p}]": c.values for p, c in enumerate(field.components)}
-    return {name: field.values}
+        field = [c.values for c in field.components]
+    if isinstance(field, list):
+        return {f"{name}[{p}]": c for p, c in enumerate(field)}
+    return {name: field if isinstance(field, np.ndarray) else field.values}
 
 
 def _result_arrays(name: str, result) -> dict[str, np.ndarray]:
