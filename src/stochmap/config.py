@@ -35,10 +35,16 @@ Example::
     directory = out
 
 Sections are flat; keys may repeat only where noted (``mode``, ``drift_mode``).
-An unknown section or key is a ``ConfigError``.
 Values: numbers, ``true``/``false``, bare words, whitespace-separated number
 lists, ``[a, b]`` lists, and inline tables ``{k = [...], amp = [...]}``.
 Command-line overrides use ``--set section.key=value``.
+
+`_TABLE` is the one list of keys: ``(section, key) -> (RunConfig field, parser)``.
+Every key is parsed and checked at load, and a bad one is a ``ConfigError``
+``[section] key: ...``.  Integer keys reject non-integral numbers, and
+`RunConfig.__post_init__` checks every choice and range.  ``drift`` takes a
+word or a mode table, and each ``drift_mode`` one more table; drift tables
+default to ``solenoidal = false, wave = cos``, ``mode`` tables to ``true, sin``.
 """
 from __future__ import annotations
 
@@ -155,6 +161,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
 
 _MODELS = ("tsw", "advection", "perturbation_only")
 _DRIFTS = ("zero", "lu", "salt")
+_TSW_ICS = ("gentle", "rest")
 
 
 @dataclass
@@ -163,7 +170,7 @@ class RunConfig:
     grid_extents: tuple[float, ...] | None = None
 
     modes: list[ModeSpec] = dc_field(default_factory=list)
-    drift: str | list[dict] = "zero"
+    drift: str | list[ModeSpec] = "zero"
     safety: float = 1.0
 
     model: str = "tsw"
@@ -196,16 +203,19 @@ class RunConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.ensemble < 1:
-            raise ConfigError(f"ensemble must be >= 1, got {self.ensemble}")
-        if isinstance(self.drift, str) and self.drift not in _DRIFTS:
-            raise ConfigError(f"drift must be one of {_DRIFTS} or explicit mode entries")
+        """The one check of choices and ranges, named by the key that sets each field."""
+        for name, ok, need in (
+            ("model", self.model in _MODELS, f"must be one of {_MODELS}"),
+            ("dt", self.dt > 0, "must be positive"),
+            ("n_steps", self.n_steps >= 1, "must be >= 1"),
+            ("ensemble", self.ensemble >= 1, "must be >= 1"),
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("tsw_ic", self.tsw_ic in _TSW_ICS, f"must be one of {_TSW_ICS}"),
+            ("drift", not isinstance(self.drift, str) or self.drift in _DRIFTS,
+             f"must be one of {_DRIFTS} or mode tables"),
+        ):
+            if not ok:
+                raise ConfigError(f"{_KEY_OF[name]}: {need}, got {getattr(self, name)!r}")
 
     def make_grid(self) -> Grid:
         extents = self.grid_extents
@@ -217,130 +227,122 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
 
+# ---------------------------------------------------------------------------
+# value parsers: each raises ValueError or TypeError on a bad value
+
 def _as_tuple(v) -> tuple:
     if isinstance(v, (list, tuple)):
         return tuple(v)
     return (v,)
 
 
-def _mode_spec_from_table(table: dict, where: str) -> ModeSpec:
-    if not isinstance(table, dict):
-        raise ConfigError(f"{where}: expected an inline table, got {table!r}")
-    unknown = set(table) - {"k", "amp", "solenoidal", "wave"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    if "k" not in table or "amp" not in table:
-        raise ConfigError(f"{where}: mode entries need k and amp")
-    try:
-        return ModeSpec(
-            k=_as_tuple(table["k"]),
-            amplitude=_as_tuple(table["amp"]),
-            solenoidal=bool(table.get("solenoidal", True)),
-            wave=str(table.get("wave", "sin")),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _int(v) -> int:
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
 
 
-# the keys each section reads
-_KEYS = {
-    "grid": {"points", "extents"},
-    "noise": {"mode", "drift", "drift_mode", "safety"},
-    "run": {"model", "dt", "n_steps", "ensemble", "seed", "snapshot_interval", "c_stab",
-            "convention", "nform_mode", "rhs"},
-    "tsw": {"kappa", "h0", "theta0", "fcor", "ic", "ic_amplitude"},
-    "advection": {"velocity", "diffusivity", "ic_amplitude"},
-    "scalar": {"tensor_class", "ic_amplitude"},
-    "output": {"directory"},
+def _tuple_of(parse):
+    """Parser of a whitespace or ``[a, b]`` list, or of one value as a 1-tuple."""
+    return lambda v: tuple(parse(x) for x in _as_tuple(v))
+
+
+def _on_off(v) -> bool:
+    if v in ("on", True):
+        return True
+    if v in ("off", False):
+        return False
+    raise ValueError(f"must be on or off, got {v!r}")
+
+
+def _choice(enum):
+    return lambda v: enum(str(v).lower())
+
+
+def _mode_table(solenoidal: bool, wave: str):
+    """Parser of one ``{k = ..., amp = ..., solenoidal = ..., wave = ...}`` table."""
+    def parse(table) -> ModeSpec:
+        if not isinstance(table, dict):
+            raise TypeError(f"expected an inline table, got {table!r}")
+        unknown = set(table) - {"k", "amp", "solenoidal", "wave"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        if "k" not in table or "amp" not in table:
+            raise ValueError("mode entries need k and amp")
+        return ModeSpec(k=_as_tuple(table["k"]), amplitude=_as_tuple(table["amp"]),
+                        solenoidal=bool(table.get("solenoidal", solenoidal)),
+                        wave=str(table.get("wave", wave)))
+    return parse
+
+
+def _each(parse):
+    """Parser of a repeatable key: one entry per occurrence."""
+    return lambda entries: [parse(entry) for entry in entries]
+
+
+_noise_mode = _mode_table(solenoidal=True, wave="sin")
+_drift_mode = _mode_table(solenoidal=False, wave="cos")
+
+
+def _drift(v) -> str | list[ModeSpec]:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, dict):
+        return [_drift_mode(v)]
+    raise TypeError(f"must be zero|lu|salt or an inline table, got {v!r}")
+
+
+# every config key: (section, key) -> (RunConfig field, parser).  drift_mode
+# follows drift, so explicit drift modes win when both are given.
+_TABLE = {
+    ("grid", "points"): ("grid_points", _tuple_of(_int)),
+    ("grid", "extents"): ("grid_extents", _tuple_of(float)),
+    ("noise", "mode"): ("modes", _each(_noise_mode)),
+    ("noise", "drift"): ("drift", _drift),
+    ("noise", "drift_mode"): ("drift", _each(_drift_mode)),
+    ("noise", "safety"): ("safety", float),
+    ("run", "model"): ("model", str),
+    ("run", "dt"): ("dt", float),
+    ("run", "n_steps"): ("n_steps", _int),
+    ("run", "ensemble"): ("ensemble", _int),
+    ("run", "seed"): ("seed", _int),
+    ("run", "snapshot_interval"): ("snapshot_interval", _int),
+    ("run", "c_stab"): ("c_stab", float),
+    ("run", "convention"): ("convention", _choice(Convention)),
+    ("run", "nform_mode"): ("nform_mode", _choice(NFormMode)),
+    ("run", "rhs"): ("rhs_enabled", _on_off),
+    ("tsw", "kappa"): ("tsw_kappa", float),
+    ("tsw", "h0"): ("tsw_h0", float),
+    ("tsw", "theta0"): ("tsw_theta0", float),
+    ("tsw", "fcor"): ("tsw_fcor", float),
+    ("tsw", "ic"): ("tsw_ic", str),
+    ("tsw", "ic_amplitude"): ("tsw_ic_amplitude", float),
+    ("advection", "velocity"): ("adv_velocity", _tuple_of(float)),
+    ("advection", "diffusivity"): ("adv_diffusivity", float),
+    ("advection", "ic_amplitude"): ("adv_ic_amplitude", float),
+    ("scalar", "tensor_class"): ("scalar_tensor_class", _choice(TensorClass)),
+    ("scalar", "ic_amplitude"): ("scalar_ic_amplitude", float),
+    ("output", "directory"): ("output_dir", str),
 }
+# the key named in a field's range error: the first key that sets the field
+_KEY_OF = {attr: f"[{sec}] {key}" for (sec, key), (attr, _) in reversed(_TABLE.items())}
 
 
 def config_from_sections(sections: dict[str, dict[str, Any]], raw_text: str = "") -> RunConfig:
-    unknown = set(sections) - set(_KEYS)
+    unknown = set(sections) - {sec for sec, _ in _TABLE}
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
     for name, table in sections.items():
-        extra = set(table) - _KEYS[name]
+        extra = set(table) - {key for sec, key in _TABLE if sec == name}
         if extra:
             raise ConfigError(f"[{name}] unknown keys {sorted(extra)}")
     kw: dict[str, Any] = {"raw_text": raw_text}
-    g = sections.get("grid", {})
-    if "points" in g:
-        kw["grid_points"] = tuple(int(n) for n in _as_tuple(g["points"]))
-    if "extents" in g:
-        kw["grid_extents"] = tuple(float(x) for x in _as_tuple(g["extents"]))
-    n = sections.get("noise", {})
-    kw["modes"] = [
-        _mode_spec_from_table(t, f"[noise] mode #{i + 1}") for i, t in enumerate(n.get("mode", []))
-    ]
-    drift = n.get("drift", "zero")
-    if isinstance(drift, dict):
-        kw["drift"] = [drift]
-    elif isinstance(drift, str):
-        kw["drift"] = drift
-    else:
-        raise ConfigError(f"[noise] drift must be zero|lu|salt or an inline table, got {drift!r}")
-    if "drift_mode" in n:
-        kw["drift"] = list(n["drift_mode"])
-    if "safety" in n:
-        kw["safety"] = float(n["safety"])
-    r = sections.get("run", {})
-    for key, attr, conv in (
-        ("model", "model", str),
-        ("dt", "dt", float),
-        ("n_steps", "n_steps", int),
-        ("ensemble", "ensemble", int),
-        ("seed", "seed", int),
-        ("snapshot_interval", "snapshot_interval", int),
-        ("c_stab", "c_stab", float),
-    ):
-        if key in r:
-            kw[attr] = conv(r[key])
-    if "convention" in r:
-        try:
-            kw["convention"] = Convention(str(r["convention"]).lower())
-        except ValueError as err:
-            raise ConfigError(f"[run] convention: {err}") from err
-    if "nform_mode" in r:
-        try:
-            kw["nform_mode"] = NFormMode(str(r["nform_mode"]).lower())
-        except ValueError as err:
-            raise ConfigError(f"[run] nform_mode: {err}") from err
-    if "rhs" in r:
-        v = r["rhs"]
-        if v in ("on", True):
-            kw["rhs_enabled"] = True
-        elif v in ("off", False):
-            kw["rhs_enabled"] = False
-        else:
-            raise ConfigError(f"[run] rhs must be on or off, got {v!r}")
-    t = sections.get("tsw", {})
-    for key, attr in (("kappa", "tsw_kappa"), ("h0", "tsw_h0"), ("theta0", "tsw_theta0"),
-                      ("fcor", "tsw_fcor"), ("ic_amplitude", "tsw_ic_amplitude")):
-        if key in t:
-            kw[attr] = float(t[key])
-    if "ic" in t:
-        if t["ic"] not in ("gentle", "rest"):
-            raise ConfigError(f"[tsw] ic must be gentle or rest, got {t['ic']!r}")
-        kw["tsw_ic"] = str(t["ic"])
-    a = sections.get("advection", {})
-    if "velocity" in a:
-        kw["adv_velocity"] = tuple(float(x) for x in _as_tuple(a["velocity"]))
-    if "diffusivity" in a:
-        kw["adv_diffusivity"] = float(a["diffusivity"])
-    if "ic_amplitude" in a:
-        kw["adv_ic_amplitude"] = float(a["ic_amplitude"])
-    s = sections.get("scalar", {})
-    if "tensor_class" in s:
-        try:
-            kw["scalar_tensor_class"] = TensorClass(str(s["tensor_class"]).lower())
-        except ValueError as err:
-            raise ConfigError(f"[scalar] tensor_class: {err}") from err
-    if "ic_amplitude" in s:
-        kw["scalar_ic_amplitude"] = float(s["ic_amplitude"])
-    o = sections.get("output", {})
-    if "directory" in o:
-        kw["output_dir"] = str(o["directory"])
+    for (sec, key), (attr, parse) in _TABLE.items():
+        if key in sections.get(sec, {}):
+            try:
+                kw[attr] = parse(sections[sec][key])
+            except (ValueError, TypeError, OverflowError) as err:
+                raise ConfigError(f"[{sec}] {key}: {err}") from err
     return RunConfig(**kw)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .models import (
     tsw_spde_step,
     two_step_forecast,
 )
+from .noise import NoiseBasis
 from .runner_support import build_basis, smooth_scalar, tsw_initial_state, tsw_params
 
 OUTPUT_DIR_ENV = "STOCHMAP_OUTDIR"
@@ -58,6 +60,7 @@ def run_simulation(config: RunConfig) -> RunResult:
     (out_root / "manifest.txt").write_text(_manifest_text(config))
 
     grid = config.make_grid()
+    basis = build_basis(grid, config)   # one per run: members share its geometry and inverse
     seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble)
     diagnostics: dict[str, list[str]] = {}
     for member in range(config.ensemble):
@@ -65,7 +68,7 @@ def run_simulation(config: RunConfig) -> RunResult:
         out_dir = out_root / label if label else out_root
         out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(seeds[member])
-        series = _run_member(config, grid, rng, out_dir, member)
+        series = _run_member(config, grid, basis, rng, out_dir, member)
         diagnostics[label or "single"] = series
     return RunResult(out_root, config.n_steps, diagnostics)
 
@@ -80,9 +83,8 @@ def _manifest_text(config: RunConfig) -> str:
     return head + (config.raw_text or "(constructed in memory)\n")
 
 
-def _run_member(config: RunConfig, grid: Grid, rng: np.random.Generator,
+def _run_member(config: RunConfig, grid: Grid, basis: NoiseBasis, rng: np.random.Generator,
                 out_dir: Path, member: int) -> list[str]:
-    basis = build_basis(grid, config)
     if config.model == "tsw":
         recorders = _run_tsw(config, grid, basis, rng, out_dir, member)
     else:  # advection, or perturbation_only on a scalar field
@@ -98,14 +100,17 @@ def _snapshot_due(config: RunConfig, step: int) -> bool:
 
 
 def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
-           state, advance, record, snap) -> None:
+           initial, advance, record, snap) -> None:
     """Step loop shared by the models: record every step and snapshot when due.
 
-    The series are written whether the run completes or a guard aborts it, so
-    an aborted run keeps the diagnostics of every step it finished.
+    The initial state is built inside the guarded region, so a guard that
+    fires on it aborts the run at step 0.  The series are written whether the
+    run completes or a guard aborts it, so an aborted run keeps the
+    diagnostics of every step it finished.
     """
     step = 0
     try:
+        state = initial()
         record(0.0, state)
         if _snapshot_due(config, 0):
             snap(0, state)
@@ -122,7 +127,7 @@ def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
 
 
 def _run_tsw(config, grid, basis, rng, out_dir: Path, member: int) -> list[DiagnosticSeries]:
-    state = tsw_initial_state(grid, config, np.random.default_rng(config.seed + 1000 + member))
+    initial = partial(tsw_initial_state, grid, config, np.random.default_rng(config.seed + 1000 + member))
     params = tsw_params(config)
     series = [DiagnosticSeries(name) for name in ("energy", "mass", "momentum_x", "momentum_y")]
 
@@ -145,13 +150,13 @@ def _run_tsw(config, grid, basis, rng, out_dir: Path, member: int) -> list[Diagn
             c_stab=config.c_stab,
         )
 
-    _march(config, out_dir, series, state, advance, record, snap)
+    _march(config, out_dir, series, initial, advance, record, snap)
     return series
 
 
 def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bool) -> list[DiagnosticSeries]:
     ic_amp = config.adv_ic_amplitude if advect else config.scalar_ic_amplitude
-    f = smooth_scalar(grid, np.random.default_rng(config.seed + 1000 + member),
+    initial = partial(smooth_scalar, grid, np.random.default_rng(config.seed + 1000 + member),
                       offset=1.0, amplitude=ic_amp)
     if advect:
         u = VectorField.constant(grid, config.adv_velocity)
@@ -187,5 +192,5 @@ def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bo
             safety=config.safety,
         )
 
-    _march(config, out_dir, [total, l2], {"f": f}, advance, record, snap)
+    _march(config, out_dir, [total, l2], lambda: {"f": initial()}, advance, record, snap)
     return [total, l2]

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .grid import Grid, ScalarField, VectorField
 from .models import TSWParams, TSWState
-from .noise import ModeSpec, NoiseBasis, build_fourier_basis, ito_drift_correction
+from .noise import NoiseBasis, build_fourier_basis, ito_drift_correction
 
 
 def smooth_scalar(grid: Grid, rng: np.random.Generator, offset: float = 0.0,
@@ -51,35 +51,20 @@ def _wavevectors(dim: int, kmax: int) -> list[tuple[int, ...]]:
 
 
 def build_basis(grid: Grid, config: RunConfig) -> NoiseBasis:
-    """Noise basis from the config's mode entries plus its drift selection."""
+    """Noise basis from the config's mode entries plus its drift selection.
+
+    Explicit drift modes are realised like noise modes and summed in order.
+    """
     base = build_fourier_basis(grid, config.modes)
-    drift = config.drift
-    if isinstance(drift, str):
-        if drift == "zero":
-            return base
-        if drift == "lu":
-            return base.with_drift(ito_drift_correction(base, 1.0))
-        if drift == "salt":
-            return base.with_drift(ito_drift_correction(base, 0.5))
-        raise ConfigError(f"unknown drift selection {drift!r}")
-    # explicit mode list: synthesise the drift like noise modes (no projection
-    # unless asked)
+    if config.drift == "zero":
+        return base
+    if config.drift == "lu":
+        return base.with_drift(ito_drift_correction(base, 1.0))
+    if config.drift == "salt":
+        return base.with_drift(ito_drift_correction(base, 0.5))
     field = VectorField.zeros(grid)
-    for i, table in enumerate(drift):
-        spec_kw = dict(table)
-        spec_kw.setdefault("solenoidal", False)
-        try:
-            spec = ModeSpec(
-                k=tuple(spec_kw["k"]) if isinstance(spec_kw["k"], (list, tuple)) else (spec_kw["k"],),
-                amplitude=tuple(spec_kw["amp"]) if isinstance(spec_kw["amp"], (list, tuple)) else (spec_kw["amp"],),
-                solenoidal=bool(spec_kw["solenoidal"]),
-                wave=str(spec_kw.get("wave", "cos")),
-            )
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"drift mode #{i + 1}: {err}") from err
-        helper = build_fourier_basis(grid, [spec])
-        for mode in helper.modes:
-            field = field + mode
+    for mode in build_fourier_basis(grid, config.drift).modes:
+        field = field + mode
     return base.with_drift(field)
 
 

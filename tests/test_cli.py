@@ -51,7 +51,18 @@ def test_simulate_missing_config_is_config_error(tmp_path, capsys):
 
 def test_simulate_bad_key_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
-    assert main(["simulate", str(cfg), "--set", "run.model=warp"]) == 1
+    for override, key in (
+        ("run.model=warp", "[run] model"),
+        ("run.n_steps=2.7", "[run] n_steps"),
+        ("grid.points=64.9 64", "[grid] points"),
+        ("run.seed=-1", "[run] seed"),
+        ("run.dt=abc", "[run] dt"),
+        ("noise.drift={k = [1.5, 0], amp = [0.1, 0]}", "[noise] drift"),
+        ("noise.drift={k = [1, 0], amp = [0.1, 0], bogus = 3}", "[noise] drift"),
+    ):
+        assert main(["simulate", str(cfg), "--set", override]) == 1, override
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
 
 
 def test_simulate_runtime_abort_exit_code(tmp_path, capsys):

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from stochmap.cli import EXIT_RUNTIME, main
+from stochmap import config as config_module
 from stochmap.config import ConfigError, RunConfig, load_config, parse_config_text, config_from_sections
 from stochmap.fldio import describe_field, read_field, write_field
 from stochmap.forms import NFormMode
-from stochmap.grid import Grid, NonFiniteError, ScalarField
+from stochmap.grid import Grid, NonFiniteError, ScalarField, TensorClass
 from stochmap.maps import Convention
+from stochmap.models import PositivityError
+from stochmap.noise import ModeSpec
+from stochmap import runner
 from stochmap.runner import RuntimeAbort, run_simulation, resolve_output_dir
 from stochmap.runner_support import build_basis
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 CONFIG_TEXT = """
 # shallow-water demo
@@ -93,6 +98,9 @@ def test_unknown_section_rejected(tmp_path):
         config_from_sections(parse_config_text("[run]\nn_step = 3\n"))
     with pytest.raises(ConfigError, match=r"^\[run\] unknown keys \['n_step'\]$"):
         load_config(write_config(tmp_path), ["run.n_step=3"])
+    # and a misspelt key of a drift table
+    with pytest.raises(ConfigError, match=r"^\[noise\] drift: unknown keys \['bogus'\]$"):
+        load_config(write_config(tmp_path), ["noise.drift={k = [1, 0], amp = [0.1, 0], bogus = 3}"])
 
 
 def test_bad_model_rejected():
@@ -103,16 +111,18 @@ def test_bad_model_rejected():
 def test_bad_mode_table_rejected():
     with pytest.raises(ConfigError):
         config_from_sections(parse_config_text("[noise]\nmode = {k = [1, 0]}\n"))
-    with pytest.raises(ConfigError):
-        config_from_sections(
-            parse_config_text("[noise]\nmode = {k = [1.5, 0], amp = [1, 0]}\n")
-        )
+    for key in ("mode", "drift", "drift_mode"):
+        with pytest.raises(ConfigError, match=rf"^\[noise\] {key}: wavevector entries must be integers"):
+            config_from_sections(
+                parse_config_text(f"[noise]\n{key} = {{k = [1.5, 0], amp = [1, 0]}}\n")
+            )
 
 
 def test_explicit_drift_modes(tmp_path):
     text = CONFIG_TEXT.replace("drift = lu", "drift = {k = [0, 0], amp = [0.1, 0.0]}")
     cfg = load_config(write_config(tmp_path, text))
     grid = cfg.make_grid()
+    assert cfg.drift == [ModeSpec((0, 0), (0.1, 0.0), solenoidal=False, wave="cos")]
     basis = build_basis(grid, cfg)
     assert np.allclose(basis.drift.components[0].values, 0.1, atol=1e-15)
 
@@ -120,6 +130,95 @@ def test_explicit_drift_modes(tmp_path):
 def test_invalid_drift_string():
     with pytest.raises(ConfigError):
         config_from_sections(parse_config_text("[noise]\ndrift = sideways\n"))
+
+
+@pytest.mark.parametrize("override, key", [
+    ("run.n_steps=2.7", "[run] n_steps"),        # int() would truncate these
+    ("grid.points=64.9 64", "[grid] points"),
+    ("run.seed=-1", "[run] seed"),
+    ("run.dt=abc", "[run] dt"),
+    ("tsw.ic=cold", "[tsw] ic"),
+])
+def test_bad_value_is_config_error_naming_its_key(tmp_path, override, key):
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path), [override])
+    assert str(info.value).startswith(key + ": ")
+
+
+# one non-default value per row of the key table, and the field it lands on
+EVERY_KEY_TEXT = """
+[grid]
+points = 16 24
+extents = 1.5 2.5
+[noise]
+mode = {k = [1, 2], amp = [0.1, 0.2], solenoidal = false, wave = both}
+drift = salt
+drift_mode = {k = [0, 1], amp = [0.3, 0.0]}
+drift_mode = {k = [2, 0], amp = [0.0, 0.1], solenoidal = true, wave = sin}
+safety = 2.5
+[run]
+model = advection
+dt = 2e-3
+n_steps = 7
+ensemble = 3
+seed = 9
+snapshot_interval = 4
+c_stab = 0.5
+convention = salt
+nform_mode = pointwise
+rhs = off
+[tsw]
+kappa = 0.3
+h0 = 2.0
+theta0 = 3.0
+fcor = 0.7
+ic = rest
+ic_amplitude = 0.05
+[advection]
+velocity = 0.25 -0.5
+diffusivity = 0.01
+ic_amplitude = 0.4
+[scalar]
+tensor_class = one_form
+ic_amplitude = 0.6
+[output]
+directory = elsewhere
+"""
+
+
+def test_every_key_lands_on_its_field(tmp_path):
+    sections = parse_config_text(EVERY_KEY_TEXT)
+    assert {(sec, key) for sec, table in sections.items() for key in table} == set(config_module._TABLE)
+    cfg = load_config(write_config(tmp_path, EVERY_KEY_TEXT))
+    expected = dict(
+        grid_points=(16, 24), grid_extents=(1.5, 2.5),
+        modes=[ModeSpec((1, 2), (0.1, 0.2), solenoidal=False, wave="both")],
+        # drift_mode entries take the drift defaults and win over drift
+        drift=[ModeSpec((0, 1), (0.3, 0.0), solenoidal=False, wave="cos"),
+               ModeSpec((2, 0), (0.0, 0.1), solenoidal=True, wave="sin")],
+        safety=2.5, model="advection", dt=2e-3, n_steps=7, ensemble=3, seed=9,
+        snapshot_interval=4, c_stab=0.5, convention=Convention.SALT,
+        nform_mode=NFormMode.POINTWISE, rhs_enabled=False,
+        tsw_kappa=0.3, tsw_h0=2.0, tsw_theta0=3.0, tsw_fcor=0.7, tsw_ic="rest",
+        tsw_ic_amplitude=0.05, adv_velocity=(0.25, -0.5), adv_diffusivity=0.01,
+        adv_ic_amplitude=0.4, scalar_tensor_class=TensorClass.ONE_FORM,
+        scalar_ic_amplitude=0.6, output_dir="elsewhere",
+    )
+    for name, value in expected.items():
+        assert getattr(cfg, name) == value, name
+        assert value != getattr(RunConfig(), name), name
+    # the drift row, which drift_mode overrides above
+    cfg = load_config(write_config(tmp_path, EVERY_KEY_TEXT.replace("drift_mode", "#")))
+    assert cfg.drift == "salt"
+
+
+def test_shipped_configs_and_readme_block_load(tmp_path):
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        load_config(path)
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```", 2)[1]
+    cfg = load_config(write_config(tmp_path, block))
+    assert cfg.model == "tsw" and len(cfg.modes) == 2
 
 
 # --- field snapshots ---------------------------------------------------------
@@ -203,10 +302,18 @@ def test_run_simulation_reproducible_bytes(tmp_path, monkeypatch):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_run_simulation_ensemble_members_differ(tmp_path):
+def test_run_simulation_ensemble_members_differ(tmp_path, monkeypatch):
     text = CONFIG_TEXT.replace("ensemble = 1", "ensemble = 2")
     cfg = load_config_with_outdir(tmp_path, "runE", text)
+    bases = []
+
+    def counted_build_basis(*args):
+        bases.append(build_basis(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(runner, "build_basis", counted_build_basis)
     out = run_simulation(cfg).output_dir
+    assert len(bases) == 1   # the members share one basis, its geometry and its inverse
     assert (out / "member_000").is_dir()
     assert (out / "member_001").is_dir()
     a = (out / "member_000" / "energy.csv").read_text()
@@ -342,3 +449,17 @@ def test_nonfinite_initial_state_aborts_at_step_0(tmp_path):
     for ov in overrides:
         argv += ["--set", ov]
     assert main(argv) == EXIT_RUNTIME
+
+
+def test_nonpositive_initial_state_aborts_at_step_0(tmp_path, capsys):
+    # the seeded initial height dips below zero at this amplitude
+    overrides = ["tsw.ic_amplitude=5", f"output.directory={tmp_path / 'out'}"]
+    with pytest.raises(RuntimeAbort, match=r"^step 0: layer height lost positivity") as info:
+        run_simulation(load_config(CONFIGS / "tsw.cfg", overrides))
+    assert isinstance(info.value.__cause__, PositivityError)
+    assert (tmp_path / "out" / "mass.csv").read_text() == "time,mass\n"
+    argv = ["simulate", str(CONFIGS / "tsw.cfg")]
+    for ov in overrides:
+        argv += ["--set", ov]
+    assert main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("runtime abort: step 0: ")
