@@ -24,9 +24,9 @@ ensemble runs), and so are the drift and noise parts they return (a list of
 dim arrays per 1-form part); only the realised increment is a field.  Every
 stencil goes through the one periodic kernel `calculus.centered_difference`.
 The drifts read the sums over modes (A = sum_i e_i e_i^T, sum_i J_i,
-sum_i e_i div e_i, sum_i (e_i . grad) e_i) from their one home,
-`NoiseBasis.geometry`; only the noise terms, and the 1-form's coupling
-term, visit the modes one by one.
+sum_i e_i div e_i, sum_i (e_i . grad) e_i, sum_i (e_i . grad)(div e_i)) from
+their one home, `NoiseBasis.geometry`; only the noise terms, and the 1-form's
+coupling term, visit the modes one by one.
 """
 from __future__ import annotations
 
@@ -226,19 +226,21 @@ def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResul
     """Density-dual scalar (coefficient of the full multivector), transported
     along d's forward map.
 
-    drift   = (div a + (1/2) J) g
+    drift   = (div a + (1/2) J - (e.grad)(div e)) g
               + (-(a^p + e^p div e) + (e.grad) e^p) d_p g + (1/2) e e : grad grad g
     noise_i = div e_i g - e_i.grad g
 
-    The divergence and advection velocities differ, and the noise sign is
-    opposite to the 0-form case.
+    This is the Ito expansion of the oracle's (g o T^-1)(det J_T o T^-1); its
+    (e.grad)(div e) term vanishes for divergence-free modes.  The divergence and
+    advection velocities differ, and the noise sign is opposite to the 0-form case.
     """
     grid = g.grid
     gv = g.values
     geo = d.basis.geometry
     a = _drift_arrays(d)
     grads = _grad(gv, grid)
-    drift = (_div(a, grid) + 0.5 * geo.wedge) * gv + _variance_quadratic(geo.amat, _hessian(grads, grid))
+    drift = ((_div(a, grid) + 0.5 * geo.wedge - geo.e_grad_div) * gv
+             + _variance_quadratic(geo.amat, _hessian(grads, grid)))
     for p in range(grid.dim):
         drift = drift + (geo.self_adv[p] - geo.e_div_e[p] - a[p]) * grads[p]
     noise = [_div(e, grid) * gv - _dot(e, grads) for e in _mode_arrays(d)]

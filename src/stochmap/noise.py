@@ -117,12 +117,14 @@ class BasisGeometry:
     wedge       = sum_i J_i, with J the `jacobian_wedge` of each mode
     e_div_e[p]  = sum_i e_i^p div e_i
     self_adv[p] = sum_i (e_i . grad) e_i^p
+    e_grad_div  = sum_i (e_i . grad)(div e_i)
     """
 
     amat: list[list[Array]]
     wedge: Array
     e_div_e: list[Array]
     self_adv: list[Array]
+    e_grad_div: Array
 
     @classmethod
     def of(cls, grid: Grid, modes: Sequence[VectorField]) -> "BasisGeometry":
@@ -131,17 +133,19 @@ class BasisGeometry:
         wedge = np.zeros(grid.shape)
         e_div_e = [np.zeros(grid.shape) for _ in range(dim)]
         self_adv = [np.zeros(grid.shape) for _ in range(dim)]
+        e_grad_div = np.zeros(grid.shape)
         for mode in modes:
             e = [c.values for c in mode.components]
             de, dive = mode_gradient(e, grid)
             wedge += jacobian_wedge(de, dive)
             for p in range(dim):
                 e_div_e[p] += e[p] * dive
+                e_grad_div += e[p] * centered_difference(dive, p, grid)
                 self_adv[p] += sum(de[q][p] * e[q] for q in range(dim))
                 for q in range(p, dim):
                     upper[p, q] += e[p] * e[q]
         amat = [[upper[min(p, q), max(p, q)] for q in range(dim)] for p in range(dim)]
-        return cls(amat, wedge, e_div_e, self_adv)
+        return cls(amat, wedge, e_div_e, self_adv, e_grad_div)
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,20 @@ def test_nvector_constant_field_keeps_wedge_term():
     assert np.allclose(r.drift, expect, atol=1e-14)
 
 
+def test_nvector_constant_field_keeps_compressive_term():
+    # g constant, e = (0.2 sin x, 0): J = 0, so the drift is all
+    # -(e.grad)(div e) g = 0.04 sin^2 x g, the mean drift of det J_T o T^-1
+    g = grid2()
+    e = VectorField(g, (smooth(g, lambda x, y: 0.2 * np.sin(x)), ScalarField.zeros(g)))
+    d = DiffeoIncrement(NoiseBasis(g, (e,), VectorField.zeros(g)),
+                        BrownianIncrements(dt=1e-3, eta=np.array([0.01])))
+    r = pushforward_nvector(ScalarField.constant(g, 2.0), d)
+    x, _ = g.coords()
+    h = g.spacing[0]
+    assert np.abs(r.drift - 0.08 * np.sin(x) ** 2).max() < 0.1 * h**2
+    assert np.abs(r.noise[0] - 0.4 * np.cos(x)).max() < 0.1 * h**2
+
+
 # --- mixed pair -------------------------------------------------------------
 
 def test_mixed_pair_identity_increment():
@@ -408,29 +422,51 @@ def test_closed_forms_track_oracle_at_small_dt(cls):
     assert mismatch < 0.05 * np.abs(r.realized.values).max()
 
 
-def test_volume_multiplier_matches_determinant_oracle():
-    # antithetic pair mean of (det J - 1) equals drift*dt up to the O(dt^2)
-    # determinant tail; the eta-linear parts are identical stencils.  The
-    # second basis's mode sums two non-parallel waves, so its Jacobian wedge
-    # (zero for one plane wave) moves the mean by about 12 times the bound.
-    g = grid2()
+def compressive_bases(g):
+    """A drifting compressive plane wave, and a mode that sums two
+    non-parallel waves so that its Jacobian wedge (zero for one plane wave)
+    and its (e.grad)(div e) differ from a plane wave's."""
     drift = VectorField(g, (smooth(g, lambda x, y: 0.1 * np.sin(x)), ScalarField.zeros(g)))
     two_wave = (
         fourier_mode_field(g, ModeSpec(k=(1, 1), amplitude=(0.24, 0.15), solenoidal=False), "sin")
         + fourier_mode_field(g, ModeSpec(k=(2, 0), amplitude=(0.09, 0.18), solenoidal=False), "cos")
     )
-    dt = 1e-3
-    for basis in (
+    return (
         build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False)], drift=drift),
         NoiseBasis(g, (two_wave,), drift),
-    ):
-        mean = np.zeros(g.shape)
-        for sign in (1.0, -1.0):
-            d = DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([sign * np.sqrt(dt)])))
-            mean += 0.5 * (oracle_remap(TensorClass.VOLUME_FORM, None, d).values - 1.0)
+    )
+
+
+def antithetic_mean(basis, dt, increment_of):
+    """Mean of an increment over the pair eta = +-sqrt(dt), in which the
+    eta-linear parts cancel, so it equals drift*dt up to O(dt^2)."""
+    pair = (DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([s * np.sqrt(dt)])))
+            for s in (1.0, -1.0))
+    return sum(0.5 * increment_of(d) for d in pair)
+
+
+def test_volume_multiplier_matches_determinant_oracle():
+    # the two-wave mode's wedge moves the mean by about 12 times the bound
+    g = grid2()
+    dt = 1e-3
+    for basis in compressive_bases(g):
+        mean = antithetic_mean(basis, dt, lambda d: oracle_remap(TensorClass.VOLUME_FORM, None, d).values - 1.0)
         result = perturb_volume_multiplier(
             DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([0.0])))
         )
+        assert np.abs(mean - result.drift * dt).max() < 5 * dt**2
+
+
+def test_nvector_matches_remap_oracle():
+    # without -(e.grad)(div e) g the gap is some 30 (plane wave) and 75
+    # (two waves) times the bound; with the sign of (e.grad)e - e div e
+    # flipped it is 15 times the bound on the two-wave mode
+    g = grid2()
+    dt = 1e-3
+    f = smooth(g, lambda x, y: 1.2 + 0.4 * np.sin(x) * np.cos(y) + 0.2 * np.cos(2 * y))
+    for basis in compressive_bases(g):
+        mean = antithetic_mean(basis, dt, lambda d: oracle_remap(TensorClass.N_VECTOR, f, d).values - f.values)
+        result = pushforward_nvector(f, DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([0.0]))))
         assert np.abs(mean - result.drift * dt).max() < 5 * dt**2
 
 

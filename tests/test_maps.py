@@ -118,7 +118,7 @@ def test_geometry_is_built_once_per_set_of_modes():
     assert basis.inverse.geometry is basis.geometry
     assert basis.with_drift(VectorField.constant(g, (0.1, 0.0))).geometry is basis.geometry
     flipped = BasisGeometry.of(g, basis.inverse.modes)
-    for name in ("wedge", "e_div_e", "self_adv", "amat"):
+    for name in ("wedge", "e_div_e", "self_adv", "e_grad_div", "amat"):
         assert np.array_equal(getattr(flipped, name), getattr(basis.geometry, name))
 
 

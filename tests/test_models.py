@@ -444,6 +444,10 @@ def test_tsw_step_literal_sec5_transcription():
         dth = dth + a.components[p] * D(theta, p)
     for e in modes:
         dth = dth + 0.5 * wedge(e) * theta
+        # the n-vector's -(e.grad)(div e) g, from det J_T taken at the inverse
+        # point; it is even in e, so the inverse increment's term is the same
+        dth = dth - sum((e.components[p] * D(div(e), p) for p in range(2)),
+                        start=ScalarField.zeros(g)) * theta
         for p in range(2):
             dth = dth - e.components[p] * div(e) * D(theta, p)
             for q in range(2):
