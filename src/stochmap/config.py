@@ -228,7 +228,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# value parsers: each raises ValueError or TypeError on a bad value
+# value parsers: each raises ValueError, TypeError or OverflowError on a bad value
 
 def _as_tuple(v) -> tuple:
     if isinstance(v, (list, tuple)):

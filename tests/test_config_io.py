@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochmap import config as config_module, runner
 from stochmap.cli import EXIT_RUNTIME, main
-from stochmap import config as config_module
 from stochmap.config import ConfigError, RunConfig, load_config, parse_config_text, config_from_sections
 from stochmap.fldio import describe_field, read_field, write_field
 from stochmap.forms import NFormMode
@@ -12,7 +12,6 @@ from stochmap.grid import Grid, NonFiniteError, ScalarField, TensorClass
 from stochmap.maps import Convention
 from stochmap.models import PositivityError
 from stochmap.noise import ModeSpec
-from stochmap import runner
 from stochmap.runner import RuntimeAbort, run_simulation, resolve_output_dir
 from stochmap.runner_support import build_basis
 
