@@ -42,9 +42,10 @@ Command-line overrides use ``--set section.key=value``.
 `_TABLE` is the one list of keys: ``(section, key) -> (RunConfig field, parser)``.
 Every key is parsed and checked at load, and a bad one is a ``ConfigError``
 ``[section] key: ...``.  Integer keys reject non-integral numbers, and
-`RunConfig.__post_init__` checks every choice and range.  ``drift`` takes a
-word or a mode table, and each ``drift_mode`` one more table; drift tables
-default to ``solenoidal = false, wave = cos``, ``mode`` tables to ``true, sin``.
+`RunConfig.__post_init__` checks every choice and range, and every shape
+against the grid it builds.  ``drift`` takes a word or a mode table, and each
+``drift_mode`` one more table; drift tables default to ``solenoidal = false,
+wave = cos``, ``mode`` tables to ``true, sin``.
 """
 from __future__ import annotations
 
@@ -162,6 +163,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
 _MODELS = ("tsw", "advection", "perturbation_only")
 _DRIFTS = ("zero", "lu", "salt")
 _TSW_ICS = ("gentle", "rest")
+_SCALAR_CLASSES = (TensorClass.ZERO_FORM, TensorClass.N_FORM, TensorClass.N_VECTOR)
 
 
 @dataclass
@@ -203,7 +205,9 @@ class RunConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        """The one check of choices and ranges, named by the key that sets each field."""
+        """The one check of choices, ranges and shapes, named by the key that sets each field."""
+        dim = self.make_grid().dim
+        drift_modes = [] if isinstance(self.drift, str) else self.drift
         for name, ok, need in (
             ("model", self.model in _MODELS, f"must be one of {_MODELS}"),
             ("dt", self.dt > 0, "must be positive"),
@@ -213,18 +217,31 @@ class RunConfig:
             ("tsw_ic", self.tsw_ic in _TSW_ICS, f"must be one of {_TSW_ICS}"),
             ("drift", not isinstance(self.drift, str) or self.drift in _DRIFTS,
              f"must be one of {_DRIFTS} or mode tables"),
+            ("grid_points", self.model != "tsw" or dim == 2, "model tsw needs a 2D grid"),
+            ("modes", _fits(self.modes, dim), f"each k and amp needs {dim} entries, one per grid axis"),
+            ("drift", _fits(drift_modes, dim), f"each k and amp needs {dim} entries, one per grid axis"),
+            ("adv_velocity", self.model != "advection" or len(self.adv_velocity) == dim,
+             f"model advection needs {dim} entries, one per grid axis"),
+            ("scalar_tensor_class", self.scalar_tensor_class in _SCALAR_CLASSES,
+             f"must be one of {[c.value for c in _SCALAR_CLASSES]}"),
         ):
             if not ok:
                 raise ConfigError(f"{_KEY_OF[name]}: {need}, got {getattr(self, name)!r}")
 
     def make_grid(self) -> Grid:
-        extents = self.grid_extents
-        if extents is None:
-            extents = tuple(2.0 * np.pi for _ in self.grid_points)
-        try:
-            return Grid(tuple(self.grid_points), tuple(extents))
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        """The run's grid.  The points are tried with the default extents
+        first, so a `Grid` error names the key at fault."""
+        default = tuple(2.0 * np.pi for _ in self.grid_points)
+        for name, extents in (("grid_points", default), ("grid_extents", self.grid_extents or default)):
+            try:
+                grid = Grid(tuple(self.grid_points), tuple(extents))
+            except ValueError as err:
+                raise ConfigError(f"{_KEY_OF[name]}: {err}") from err
+        return grid
+
+
+def _fits(modes: list[ModeSpec], dim: int) -> bool:
+    return all(len(m.k) == len(m.amplitude) == dim for m in modes)
 
 
 # ---------------------------------------------------------------------------

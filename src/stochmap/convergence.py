@@ -2,9 +2,10 @@
 
 Two noise-refinement devices, used for different questions:
 
-* ``matched_brownian_increments`` — one set of Brownian paths refined by
+* ``matched_increment_ensemble`` — an ensemble of Brownian paths refined by
   summation (each coarse increment is exactly the sum of its fine
-  sub-increments).  Used for trajectory-level weak-convergence measurements.
+  sub-increments), moment-matched at every level.  Used by the weak-order
+  study of the advection SPDE.
 
 * ``symmetric_ensemble`` — an antithetic ensemble whose per-mode sample
   second moments are exactly dt and whose cross moments vanish exactly.
@@ -46,24 +47,6 @@ TWO_PI = 2.0 * np.pi
 
 # ---------------------------------------------------------------------------
 # noise refinement devices
-
-def matched_brownian_increments(m: int, dt_finest: float, n_finest: int, n_levels: int,
-                                rng: np.random.Generator) -> list[np.ndarray]:
-    """Brownian increments at n_levels resolutions of one path set.
-
-    Level 0 is finest: shape (n_finest, m) with steps of dt_finest.  Level l
-    halves the count; each coarse increment is the exact sum of its two
-    children, so refining changes the Brownian sums by zero.
-    """
-    if n_finest % (1 << (n_levels - 1)):
-        raise ValueError("n_finest must be divisible by 2^(n_levels-1)")
-    fine = rng.normal(0.0, np.sqrt(dt_finest), size=(n_finest, m))
-    levels = [fine]
-    for _ in range(n_levels - 1):
-        prev = levels[-1]
-        levels.append(prev.reshape(prev.shape[0] // 2, 2, m).sum(axis=1))
-    return levels
-
 
 def matched_increment_ensemble(m: int, dt_finest: float, n_finest: int, n_levels: int,
                                members: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
@@ -204,7 +187,14 @@ def make_scene_3d(n: int) -> Scene3D:
     return Scene3D(g, u, basis)
 
 
-def make_scene_tsw(n: int) -> tuple[TSWState, NoiseBasis]:
+@dataclass
+class SceneTSW:
+    grid: Grid
+    state: TSWState
+    basis: NoiseBasis
+
+
+def make_scene_tsw(n: int) -> SceneTSW:
     g = Grid((n, n), (TWO_PI, TWO_PI))
     h = ScalarField.from_function(g, lambda x, y: 1.0 + 0.1 * np.sin(x) * np.cos(y) + 0.05 * np.cos(2 * y))
     theta = ScalarField.from_function(g, lambda x, y: 1.0 + 0.08 * np.cos(x + y) + 0.05 * np.sin(2 * x))
@@ -225,7 +215,7 @@ def make_scene_tsw(n: int) -> tuple[TSWState, NoiseBasis]:
             ModeSpec(k=(1, 1), amplitude=(0.1, -0.1)),
         ],
     )
-    return TSWState(h, theta, u), basis
+    return SceneTSW(g, TSWState(h, theta, u), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +284,31 @@ def metric_drift_helicity(scene: Scene3D, d: DiffeoIncrement):
     return np.array([helicity(uhat) - helicity(scene.u)])
 
 
-def metric_drift_tsw(state: TSWState, basis: NoiseBasis, d: DiffeoIncrement):
-    new = tsw_spde_step(state, TSWParams(), basis, d.dt, np.random.default_rng(0),
+def metric_drift_tsw(scene: SceneTSW, d: DiffeoIncrement):
+    new = tsw_spde_step(scene.state, TSWParams(), scene.basis, d.dt, np.random.default_rng(0),
                         rhs_enabled=False, increment=d)
-    e0, m0, p0 = tsw_invariants(state)
+    e0, m0, p0 = tsw_invariants(scene.state)
     e1, m1, p1 = tsw_invariants(new)
     return np.array([e1 - e0]), np.array([p1[0] - p0[0], p1[1] - p0[1]])
 
 
-_SCENE_2D_METRICS = {
-    "mismatch_0form": metric_mismatch_0form,
-    "mismatch_1form": metric_mismatch_1form,
-    "mismatch_nform": metric_mismatch_nform,
-    "mismatch_nvector": metric_mismatch_nvector,
-    "composition_residual": metric_composition,
-    "drift_int_fg": metric_drift_int_fg,
-    "drift_int_f2g": metric_drift_int_f2g,
-    "pairing_pointwise": metric_pairing_pointwise,
-    "vorticity_commutation_joint": metric_vorticity_commutation,
+# every study metric: name -> (scene dimension, scene builder, per-step defect)
+_STUDY = {
+    "mismatch_0form": (2, make_scene_2d, metric_mismatch_0form),
+    "mismatch_1form": (2, make_scene_2d, metric_mismatch_1form),
+    "mismatch_nform": (2, make_scene_2d, metric_mismatch_nform),
+    "mismatch_nvector": (2, make_scene_2d, metric_mismatch_nvector),
+    "composition_residual": (2, make_scene_2d, metric_composition),
+    "drift_int_fg": (2, make_scene_2d, metric_drift_int_fg),
+    "drift_int_f2g": (2, make_scene_2d, metric_drift_int_f2g),
+    "pairing_pointwise": (2, make_scene_2d, metric_pairing_pointwise),
+    "vorticity_commutation_joint": (2, make_scene_2d, metric_vorticity_commutation),
+    "drift_helicity": (3, make_scene_3d, metric_drift_helicity),
+    "drift_tsw_energy": (2, make_scene_tsw, lambda scene, d: metric_drift_tsw(scene, d)[0]),
+    "drift_tsw_momentum": (2, make_scene_tsw, lambda scene, d: metric_drift_tsw(scene, d)[1]),
 }
 
-STUDY_METRICS = tuple(_SCENE_2D_METRICS) + (
-    "drift_helicity",
-    "drift_tsw_energy",
-    "drift_tsw_momentum",
-)
+STUDY_METRICS = tuple(_STUDY)
 
 
 @dataclass
@@ -352,25 +342,16 @@ def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
     dts = sorted(dts, reverse=True)
     rows: list[StudyRow] = []
     for metric in metrics:
+        dim, make_scene, defect = _STUDY[metric]
         values = []
         ns = []
         for dt in dts:
-            if metric == "drift_helicity":
-                n = study_grid_points(dt, 3)
-                scene3 = make_scene_3d(n)
-                basis, fn = scene3.basis, lambda d: metric_drift_helicity(scene3, d)
-            elif metric in ("drift_tsw_energy", "drift_tsw_momentum"):
-                n = study_grid_points(dt, 2)
-                state, basis = make_scene_tsw(n)
-                pick = 0 if metric == "drift_tsw_energy" else 1
-                fn = lambda d: metric_drift_tsw(state, basis, d)[pick]
-            else:
-                n = study_grid_points(dt, 2)
-                scene = make_scene_2d(n)
-                basis, fn = scene.basis, lambda d: _SCENE_2D_METRICS[metric](scene, d)
-            ens = symmetric_ensemble(basis.n_modes, n_pairs, seed)
+            n = study_grid_points(dt, dim)
+            scene = make_scene(n)
+            ens = symmetric_ensemble(scene.basis.n_modes, n_pairs, seed)
             values.append(_ensemble_mean_defect(
-                lambda inc: DiffeoIncrement(basis, inc, safety=safety), fn, ens, dt))
+                lambda inc: DiffeoIncrement(scene.basis, inc, safety=safety),
+                lambda d: defect(scene, d), ens, dt))
             ns.append(n)
         slope = fit_loglog_slope(dts, values)
         for dt, n, val in zip(dts, ns, values):

@@ -89,14 +89,13 @@ def displacement_field(d: DiffeoIncrement) -> VectorField:
 def forward_map(d: DiffeoIncrement, points: Array) -> Array:
     """T(points), wrapped back into the fundamental domain.
 
-    Coefficient fields are cubic-interpolated at the given points, which is
-    exact when the points are grid nodes.
+    The node displacement `displacement_field` is cubic-interpolated at the
+    given points, which is exact when the points are grid nodes.  The
+    interpolation is linear in the node values, so this is the map of the
+    interpolated drift and modes.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = pts + d.increments.dt * sample_vector_at(d.basis.drift, pts)
-    for e, eta in zip(d.basis.modes, d.increments.eta):
-        out = out + float(eta) * sample_vector_at(e, pts)
-    return d.grid.wrap(out)
+    return d.grid.wrap(pts + sample_vector_at(displacement_field(d), pts))
 
 
 def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:

@@ -56,13 +56,6 @@ def check_stability(grid: Grid, dt: float, velocity_scale: float, diffusivity: f
         )
 
 
-def noise_scales(basis: NoiseBasis) -> tuple[float, float]:
-    """(velocity scale, diffusivity) contributed by the map coefficients."""
-    vel = basis.drift.max_norm()
-    diff = 0.5 * sum(e.max_norm() ** 2 for e in basis.modes)
-    return vel, diff
-
-
 def apply_increment(field: Fieldish, tensor_class: TensorClass, d: DiffeoIncrement,
                     nform_mode: NFormMode = NFormMode.FLUX) -> Fieldish:
     """Realised class-appropriate perturbation of one state variable.
@@ -318,7 +311,7 @@ def tsw_spde_step(
     increment: DiffeoIncrement | None = None,
 ) -> TSWState:
     """One thermal shallow water step; all three variables share one increment."""
-    vel, diff = noise_scales(basis)
+    vel, diff = basis.scales
     if rhs_enabled:
         vel += state.u.max_norm() + tsw_gravity_wave_speed(state)
     check_stability(state.grid, dt, vel, diff, c_stab)

@@ -91,6 +91,12 @@ class NoiseBasis:
         """The sums over modes, built on first use."""
         return BasisGeometry.of(self.grid, self.modes)
 
+    @cached_property
+    def scales(self) -> tuple[float, float]:
+        """(velocity scale, diffusivity) that the map coefficients add to the
+        stability bound: max |a| and (1/2) sum_i max |e_i|^2."""
+        return self.drift.max_norm(), 0.5 * sum(e.max_norm() ** 2 for e in self.modes)
+
     def with_drift(self, drift: VectorField) -> "NoiseBasis":
         return self._sharing_geometry(self.modes, drift)
 

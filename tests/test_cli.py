@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 
 from stochmap.cli import main
 from stochmap.fldio import read_field
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG = """
 [grid]
@@ -51,18 +55,41 @@ def test_simulate_missing_config_is_config_error(tmp_path, capsys):
 
 def test_simulate_bad_key_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
-    for override, key in (
-        ("run.model=warp", "[run] model"),
-        ("run.n_steps=2.7", "[run] n_steps"),
-        ("grid.points=64.9 64", "[grid] points"),
-        ("run.seed=-1", "[run] seed"),
-        ("run.dt=abc", "[run] dt"),
-        ("noise.drift={k = [1.5, 0], amp = [0.1, 0]}", "[noise] drift"),
-        ("noise.drift={k = [1, 0], amp = [0.1, 0], bogus = 3}", "[noise] drift"),
+    for overrides, key in (
+        (["run.model=warp"], "[run] model"),
+        (["run.n_steps=2.7"], "[run] n_steps"),
+        (["grid.points=64.9 64"], "[grid] points"),
+        (["run.seed=-1"], "[run] seed"),
+        (["run.dt=abc"], "[run] dt"),
+        (["noise.drift={k = [1.5, 0], amp = [0.1, 0]}"], "[noise] drift"),
+        (["noise.drift={k = [1, 0], amp = [0.1, 0], bogus = 3}"], "[noise] drift"),
+        # values that only the grid shows to be wrong
+        (["noise.mode={k = [1, 0, 0], amp = [0, 1, 0]}"], "[noise] mode"),
+        (["noise.drift_mode={k = [1, 0], amp = [0.1]}"], "[noise] drift"),
+        (["grid.points=2 2"], "[grid] points"),
+        (["grid.extents=1 2 3"], "[grid] extents"),
+        (["grid.extents=1 -2"], "[grid] extents"),
+        (["run.model=tsw", "grid.points=16 16 16"], "[grid] points"),
+        (["run.model=advection", "advection.velocity=1 0 0"], "[advection] velocity"),
+        (["scalar.tensor_class=one_form"], "[scalar] tensor_class"),
+        (["scalar.tensor_class=volume_form"], "[scalar] tensor_class"),
+        (["scalar.tensor_class=mixed_pair"], "[scalar] tensor_class"),
     ):
-        assert main(["simulate", str(cfg), "--set", override]) == 1, override
+        args = [arg for ov in overrides for arg in ("--set", ov)]
+        assert main(["simulate", str(cfg), *args]) == 1, overrides
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+        assert not (tmp_path / "cli_out" / "manifest.txt").exists(), overrides
+
+
+def test_simulate_rhs_off_ignores_the_advection_velocity(tmp_path, capsys):
+    # nothing is advected, so the velocity must not enter the stability bound
+    cfg = ROOT / "configs" / "advection.cfg"
+    code = main(["simulate", str(cfg), "--set", "run.rhs=off", "--set", "advection.velocity=100 0",
+                 "--set", "run.ensemble=1", "--set", "run.n_steps=2",
+                 "--set", f"output.directory={tmp_path / 'out'}"])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "out" / "f_000002.fld").exists()
 
 
 def test_simulate_runtime_abort_exit_code(tmp_path, capsys):

@@ -137,10 +137,19 @@ def test_invalid_drift_string():
     ("run.seed=-1", "[run] seed"),
     ("run.dt=abc", "[run] dt"),
     ("tsw.ic=cold", "[tsw] ic"),
+    # values that only the grid shows to be wrong; ";" separates overrides
+    ("noise.mode={k = [1, 0, 0], amp = [0, 1, 0]}", "[noise] mode"),
+    ("grid.points=2 2", "[grid] points"),
+    ("grid.extents=1 2 3", "[grid] extents"),
+    ("grid.points=16 16 16", "[grid] points"),
+    ("run.model=advection;advection.velocity=1 0 0", "[advection] velocity"),
+    ("run.model=perturbation_only;scalar.tensor_class=one_form", "[scalar] tensor_class"),
+    ("run.model=perturbation_only;scalar.tensor_class=volume_form", "[scalar] tensor_class"),
+    ("run.model=perturbation_only;scalar.tensor_class=mixed_pair", "[scalar] tensor_class"),
 ])
 def test_bad_value_is_config_error_naming_its_key(tmp_path, override, key):
     with pytest.raises(ConfigError) as info:
-        load_config(write_config(tmp_path), [override])
+        load_config(write_config(tmp_path), override.split(";"))
     assert str(info.value).startswith(key + ": ")
 
 
@@ -178,7 +187,7 @@ velocity = 0.25 -0.5
 diffusivity = 0.01
 ic_amplitude = 0.4
 [scalar]
-tensor_class = one_form
+tensor_class = n_vector
 ic_amplitude = 0.6
 [output]
 directory = elsewhere
@@ -200,7 +209,7 @@ def test_every_key_lands_on_its_field(tmp_path):
         nform_mode=NFormMode.POINTWISE, rhs_enabled=False,
         tsw_kappa=0.3, tsw_h0=2.0, tsw_theta0=3.0, tsw_fcor=0.7, tsw_ic="rest",
         tsw_ic_amplitude=0.05, adv_velocity=(0.25, -0.5), adv_diffusivity=0.01,
-        adv_ic_amplitude=0.4, scalar_tensor_class=TensorClass.ONE_FORM,
+        adv_ic_amplitude=0.4, scalar_tensor_class=TensorClass.N_VECTOR,
         scalar_ic_amplitude=0.6, output_dir="elsewhere",
     )
     for name, value in expected.items():
@@ -212,11 +221,16 @@ def test_every_key_lands_on_its_field(tmp_path):
 
 
 def test_shipped_configs_and_readme_block_load(tmp_path):
-    for path in sorted(CONFIGS.glob("*.cfg")):
-        load_config(path)
+    # each one loads, and runs two steps: load-time checks cannot see every run-time failure
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Configuration", 1)[1].split("```", 2)[1]
-    cfg = load_config(write_config(tmp_path, block))
+    paths = sorted(CONFIGS.glob("*.cfg")) + [write_config(tmp_path, block)]
+    for path in paths:
+        name = path.stem if path.parent == CONFIGS else "readme"
+        cfg = load_config(path, ["run.n_steps=2", "run.ensemble=1",
+                                 f"output.directory={tmp_path / name}"])
+        assert run_simulation(cfg).n_steps == 2, name
+        assert len(list((tmp_path / name).glob("*_000002.fld"))) >= 1, name
     assert cfg.model == "tsw" and len(cfg.modes) == 2
 
 

@@ -3,25 +3,11 @@ import pytest
 
 from stochmap.convergence import (
     fit_loglog_slope,
-    matched_brownian_increments,
     matched_increment_ensemble,
     run_study,
     study_grid_points,
     symmetric_ensemble,
 )
-
-
-def test_matched_paths_coarse_is_exact_sum_of_fine():
-    rng = np.random.default_rng(0)
-    levels = matched_brownian_increments(3, 1e-3, 16, 3, rng)
-    assert [lv.shape for lv in levels] == [(16, 3), (8, 3), (4, 3)]
-    assert np.array_equal(levels[1], levels[0].reshape(8, 2, 3).sum(axis=1))
-    assert np.array_equal(levels[2], levels[1].reshape(4, 2, 3).sum(axis=1))
-
-
-def test_matched_paths_need_divisible_step_count():
-    with pytest.raises(ValueError):
-        matched_brownian_increments(1, 1e-3, 10, 3, np.random.default_rng(0))
 
 
 def test_matched_ensemble_sum_property_and_moments():
@@ -47,6 +33,8 @@ def test_matched_ensemble_member_count_guard():
         matched_increment_ensemble(2, 1e-3, 8, 3, 8, np.random.default_rng(0))
     with pytest.raises(ValueError):
         matched_increment_ensemble(1, 1e-3, 8, 2, 9, np.random.default_rng(0))
+    with pytest.raises(ValueError):  # 10 fine steps do not halve twice
+        matched_increment_ensemble(1, 1e-3, 10, 3, 8, np.random.default_rng(0))
 
 
 def test_symmetric_ensemble_exact_moments():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from stochmap.calculus import sample_vector_at
+from stochmap.convergence import make_scene_2d, make_scene_3d
 from stochmap.grid import Grid, VectorField
 from stochmap.noise import (
     BasisGeometry,
@@ -152,6 +154,22 @@ def test_forward_map_wraps_into_domain():
     got = forward_map(d, g.points())
     assert np.all(got >= 0.0)
     assert np.all(got < TWO_PI)
+
+
+@pytest.mark.parametrize("scene", [make_scene_2d(32), make_scene_3d(16)], ids=["2d", "3d"])
+def test_forward_map_off_nodes_is_the_interpolated_map(scene):
+    # the one interpolated node displacement equals T with every coefficient
+    # field interpolated on its own (interpolation is linear in node values)
+    g, basis = scene.grid, scene.basis
+    rng = np.random.default_rng(3)
+    d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.sqrt(1e-3) * rng.standard_normal(basis.n_modes)))
+    pts = rng.uniform(0.0, 1.0, (500, g.dim)) * np.asarray(g.extents)
+    expect = pts + d.dt * sample_vector_at(basis.drift, pts)
+    for e, eta in zip(basis.modes, d.increments.eta):
+        expect = expect + eta * sample_vector_at(e, pts)
+    got = forward_map(d, pts)
+    assert np.all((got >= 0.0) & (got < np.asarray(g.extents)))
+    assert np.abs(g.wrap_displacement(got - expect)).max() < 1e-14
 
 
 def test_mode_increment_count_must_match():
