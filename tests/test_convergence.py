@@ -33,6 +33,9 @@ def test_matched_ensemble_member_count_guard():
         matched_increment_ensemble(2, 1e-3, 8, 3, 8, np.random.default_rng(0))
     with pytest.raises(ValueError):
         matched_increment_ensemble(1, 1e-3, 8, 2, 9, np.random.default_rng(0))
+
+
+def test_matched_paths_need_divisible_step_count():
     with pytest.raises(ValueError):  # 10 fine steps do not halve twice
         matched_increment_ensemble(1, 1e-3, 10, 3, 8, np.random.default_rng(0))
 
