@@ -58,7 +58,7 @@ import numpy as np
 from .forms import NFormMode
 from .grid import Grid, TensorClass
 from .maps import Convention
-from .noise import ModeSpec
+from .noise import ModeSpec, mode_amplitude
 
 
 class ConfigError(ValueError):
@@ -206,7 +206,8 @@ class RunConfig:
 
     def __post_init__(self):
         """The one check of choices, ranges and shapes, named by the key that sets each field."""
-        dim = self.make_grid().dim
+        grid = self.make_grid()
+        dim = grid.dim
         drift_modes = [] if isinstance(self.drift, str) else self.drift
         for name, ok, need in (
             ("model", self.model in _MODELS, f"must be one of {_MODELS}"),
@@ -227,6 +228,12 @@ class RunConfig:
         ):
             if not ok:
                 raise ConfigError(f"{_KEY_OF[name]}: {need}, got {getattr(self, name)!r}")
+        for name, specs in (("modes", self.modes), ("drift", drift_modes)):
+            for spec in specs:
+                try:
+                    mode_amplitude(grid, spec)     # a solenoidal amp parallel to k leaves nothing
+                except ValueError as err:
+                    raise ConfigError(f"{_KEY_OF[name]}: {err}") from err
 
     def make_grid(self) -> Grid:
         """The run's grid.  The points are tried with the default extents

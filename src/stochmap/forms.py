@@ -2,10 +2,12 @@
 
 Every operator returns the increment decomposed as
 
-    drift * dt  +  sum_i noise_i * eta_i   (Ito bookkeeping, eta_i^2 -> dt)
+    realized = drift * dt  +  noise   (Ito bookkeeping, eta_i^2 -> dt)
 
-together with the realised combination for the increment's actual eta draw.
-Noise coefficients are evaluated at the input field (explicit in time).
+where noise is the realised noise term of the increment's eta draw, read
+from the one noise displacement xi = sum_i eta_i e_i (it is linear in xi)
+rather than mode by mode; only the 1-form, whose drift visits every mode,
+sums its noise per mode.  It is evaluated at the input field (explicit in time).
 
 `oracle_remap` is the formula-free cross-check: it remaps the field through
 the sampled map itself, using cubic interpolation and finite-difference
@@ -25,8 +27,8 @@ dim arrays per 1-form part); only the realised increment is a field.  Every
 stencil goes through the one periodic kernel `calculus.centered_difference`.
 The drifts read the sums over modes (A = sum_i e_i e_i^T, sum_i J_i,
 sum_i e_i div e_i, sum_i (e_i . grad) e_i, sum_i (e_i . grad)(div e_i)) from
-their one home, `NoiseBasis.geometry`; only the noise terms, and the 1-form's
-coupling term, visit the modes one by one.
+their one home, `NoiseBasis.geometry`; only the 1-form's coupling term, and
+its noise with it, visits the modes one by one.
 """
 from __future__ import annotations
 
@@ -56,10 +58,11 @@ class NFormMode(Enum):
 
 @dataclass(frozen=True)
 class PerturbationResult:
-    """Drift and noise parts as raw arrays (lists of dim arrays for a 1-form); the realisation as a field."""
+    """Drift and realised noise (linear in xi) as raw arrays, lists of dim
+    arrays for a 1-form; the realisation drift*dt + noise as a field."""
 
     drift: Union[Array, list[Array]]
-    noise: tuple[Union[Array, list[Array]], ...]
+    noise: Union[Array, list[Array]]
     realized: Fieldish
 
 
@@ -78,10 +81,6 @@ def _hessian(grads: list[Array], grid: Grid) -> list[list[Array]]:
             hess[p][q] = _d(grads[p], q, grid)
             hess[q][p] = hess[p][q]
     return hess
-
-
-def _mode_arrays(d: DiffeoIncrement) -> list[list[Array]]:
-    return [[c.values for c in e.components] for e in d.basis.modes]
 
 
 def _drift_arrays(d: DiffeoIncrement) -> list[Array]:
@@ -111,20 +110,13 @@ def volume_jacobian_coefficient(e: VectorField) -> ScalarField:
     return ScalarField(e.grid, jacobian_wedge(*mode_gradient([c.values for c in e.components], e.grid)))
 
 
-def _realize(drift: Array, noise: list[Array], d: DiffeoIncrement) -> Array:
-    realized = drift * d.dt
-    for nv, eta in zip(noise, d.increments.eta):
-        realized = realized + nv * float(eta)
-    return realized
+def _assemble(grid: Grid, drift: Array, noise: Array, d: DiffeoIncrement) -> PerturbationResult:
+    return PerturbationResult(drift, noise, ScalarField(grid, drift * d.dt + noise))
 
 
-def _assemble(grid: Grid, drift: Array, noise: list[Array], d: DiffeoIncrement) -> PerturbationResult:
-    return PerturbationResult(drift, tuple(noise), ScalarField(grid, _realize(drift, noise, d)))
-
-
-def _assemble_vector(grid: Grid, drift: list[Array], noise: list[list[Array]], d: DiffeoIncrement) -> PerturbationResult:
-    realized = [_realize(drift[j], [nvs[j] for nvs in noise], d) for j in range(grid.dim)]
-    return PerturbationResult(drift, tuple(noise), VectorField.from_arrays(grid, realized))
+def _assemble_vector(grid: Grid, drift: list[Array], noise: list[Array], d: DiffeoIncrement) -> PerturbationResult:
+    realized = [drift[j] * d.dt + noise[j] for j in range(grid.dim)]
+    return PerturbationResult(drift, noise, VectorField.from_arrays(grid, realized))
 
 
 # ---------------------------------------------------------------------------
@@ -133,29 +125,27 @@ def _assemble_vector(grid: Grid, drift: list[Array], noise: list[list[Array]], d
 def perturb_0form(f: ScalarField, d: DiffeoIncrement) -> PerturbationResult:
     """Scalar transported as a plain function: advection plus mode diffusion.
 
-    drift   = a.grad f + (1/2) sum_i e_i^p e_i^q d_p d_q f
-    noise_i = e_i.grad f
+    drift = a.grad f + (1/2) sum_i e_i^p e_i^q d_p d_q f
+    noise = xi.grad f
     """
     grid = f.grid
     grads = _grad(f.values, grid)
     drift = _variance_quadratic(d.basis.geometry.amat, _hessian(grads, grid))
     if d.basis.has_drift:
         drift = drift + _dot(_drift_arrays(d), grads)
-    noise = [_dot(e, grads) for e in _mode_arrays(d)]
-    return _assemble(grid, drift, noise, d)
+    return _assemble(grid, drift, _dot(d.noise_displacement, grads), d)
 
 
 def perturb_volume_multiplier(d: DiffeoIncrement) -> PerturbationResult:
     """Multiplier increment picked up by the volume element under the map.
 
-    drift = div a + (1/2) sum_i J_i,  noise_i = div e_i.  The realised field
+    drift = div a + (1/2) sum_i J_i,  noise = div xi.  The realised field
     is multiplier - 1; it vanishes identically when the basis satisfies the
     incompressibility pair div e_i = 0 and d_p d_q (sum_i e_i^p e_i^q) = 0.
     """
     grid = d.grid
     drift = _div(_drift_arrays(d), grid) + 0.5 * d.basis.geometry.wedge
-    noise = [_div(e, grid) for e in _mode_arrays(d)]
-    return _assemble(grid, drift, noise, d)
+    return _assemble(grid, drift, _div(d.noise_displacement, grid), d)
 
 
 def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMode.FLUX) -> PerturbationResult:
@@ -163,41 +153,40 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
 
     Pointwise assembly is the literal coefficient formula
 
-      drift   = (div a + (1/2) J) f + (a^p + e^p div e) d_p f
-                + (1/2) e e : grad grad f
-      noise_i = div e_i f + e_i.grad f
+      drift = (div a + (1/2) J) f + (a^p + e^p div e) d_p f
+              + (1/2) e e : grad grad f
+      noise = (div xi) f + xi.grad f
 
-    while flux assembly writes the same increment as a discrete divergence,
-    so that integrate(realized) telescopes to zero for every realisation.
+    while flux assembly writes the same increment as a discrete divergence
+    (noise = sum_p D_p(xi^p f)), so that integrate(realized) telescopes to
+    zero for every realisation.
     """
     grid = f.grid
     fv = f.values
     geo = d.basis.geometry
-    modes = _mode_arrays(d)
+    xi = d.noise_displacement
     a = _drift_arrays(d)
     grads = _grad(fv, grid)
     if mode is NFormMode.POINTWISE:
         drift = (_div(a, grid) + 0.5 * geo.wedge) * fv + _variance_quadratic(geo.amat, _hessian(grads, grid))
         for p in range(grid.dim):
             drift = drift + (a[p] + geo.e_div_e[p]) * grads[p]
-        noise = [_div(e, grid) * fv + _dot(e, grads) for e in modes]
-        return _assemble(grid, drift, noise, d)
+        return _assemble(grid, drift, _div(xi, grid) * fv + _dot(xi, grads), d)
 
     # flux form: drift = d_p [ (a^p + (1/2)(e^p div e - (e.grad) e^p)) f + (1/2) A^{pq} d_q f ]
     drift = 0.0
     for p in range(grid.dim):
         bracket = (a[p] + 0.5 * (geo.e_div_e[p] - geo.self_adv[p])) * fv + 0.5 * _dot(geo.amat[p], grads)
         drift = drift + _d(bracket, p, grid)
-    noise = [sum(_d(e[p] * fv, p, grid) for p in range(grid.dim)) for e in modes]
-    return _assemble(grid, drift, noise, d)
+    return _assemble(grid, drift, sum(_d(xi[p] * fv, p, grid) for p in range(grid.dim)), d)
 
 
 def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     """Covector components f_j dx^j (momentum-like velocity representation).
 
-    drift^j   = a.grad v^j + (1/2) e e : grad grad v^j
-                + (d_j a^p) v^p + sum_i (d_j e_i^p) (e_i . grad v^p)
-    noise_i^j = e_i.grad v^j + (d_j e_i^p) v^p
+    drift^j = a.grad v^j + (1/2) e e : grad grad v^j
+              + (d_j a^p) v^p + sum_i (d_j e_i^p) (e_i . grad v^p)
+    noise^j = sum_i eta_i (e_i.grad v^j + (d_j e_i^p) v^p)
     """
     grid = v.grid
     if grid.dim < 2:
@@ -212,13 +201,14 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
         for p in range(grid.dim):
             dj = dj + a[p] * grads[j][p] + _d(a[p], j, grid) * vv[p]
         drift.append(dj)
-    noise = []
-    for e in _mode_arrays(d):
-        de = mode_gradient(e, grid)[0]                        # de[j][p] = d_j e^p
+    noise = [np.zeros(grid.shape) for _ in range(grid.dim)]
+    for mode, eta in zip(d.basis.modes, d.increments.eta):
+        e = [c.values for c in mode.components]
         egrad = [_dot(e, grads[p]) for p in range(grid.dim)]  # e . grad v^p
         for j in range(grid.dim):
-            drift[j] = drift[j] + _dot(de[j], egrad)
-        noise.append([egrad[j] + _dot(de[j], vv) for j in range(grid.dim)])
+            de_j = [_d(c, j, grid) for c in e]                # d_j e^p, one row at a time
+            drift[j] = drift[j] + _dot(de_j, egrad)
+            noise[j] += (egrad[j] + _dot(de_j, vv)) * float(eta)
     return _assemble_vector(grid, drift, noise, d)
 
 
@@ -228,7 +218,7 @@ def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResul
 
     drift   = (div a + (1/2) J - (e.grad)(div e)) g
               + (-(a^p + e^p div e) + (e.grad) e^p) d_p g + (1/2) e e : grad grad g
-    noise_i = div e_i g - e_i.grad g
+    noise = (div xi) g - xi.grad g
 
     This is the Ito expansion of the oracle's (g o T^-1)(det J_T o T^-1); its
     (e.grad)(div e) term vanishes for divergence-free modes.  The divergence and
@@ -243,8 +233,8 @@ def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResul
              + _variance_quadratic(geo.amat, _hessian(grads, grid)))
     for p in range(grid.dim):
         drift = drift + (geo.self_adv[p] - geo.e_div_e[p] - a[p]) * grads[p]
-    noise = [_div(e, grid) * gv - _dot(e, grads) for e in _mode_arrays(d)]
-    return _assemble(grid, drift, noise, d)
+    xi = d.noise_displacement
+    return _assemble(grid, drift, _div(xi, grid) * gv - _dot(xi, grads), d)
 
 
 def perturb_mixed_pair(

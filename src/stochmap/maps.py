@@ -12,11 +12,16 @@ path; inverting twice restores the original coefficients exactly.  Its basis
 depends on the forward basis alone and is built once per basis
 (`NoiseBasis.inverse`); its drift and modes reuse the forward basis's sums
 over modes (`NoiseBasis.geometry`), which are even in e.
+
+The random part reaches the guard, the map and every operator's noise term
+through one field, the noise displacement xi = sum_i eta_i e_i at the nodes
+(`DiffeoIncrement.noise_displacement`), summed once per increment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -64,16 +69,19 @@ class DiffeoIncrement:
     def grid(self):
         return self.basis.grid
 
+    @cached_property
+    def noise_displacement(self) -> list[Array]:
+        """xi^p = sum_i eta_i e_i^p at the nodes, one array per axis (zeros without modes)."""
+        xi = [np.zeros(self.grid.shape) for _ in range(self.grid.dim)]
+        for e, eta in zip(self.basis.modes, self.increments.eta):
+            for p in range(self.grid.dim):
+                xi[p] += e.components[p].values * float(eta)
+        return xi
+
 
 def _displacement_arrays(d: DiffeoIncrement) -> list[np.ndarray]:
-    grid = d.basis.grid
-    comps = []
-    for p in range(grid.dim):
-        acc = d.basis.drift.components[p].values * d.increments.dt
-        for e, eta in zip(d.basis.modes, d.increments.eta):
-            acc = acc + e.components[p].values * float(eta)
-        comps.append(acc)
-    return comps
+    """a^p dt + xi^p at the nodes."""
+    return [c.values * d.dt + xi for c, xi in zip(d.basis.drift.components, d.noise_displacement)]
 
 
 def _max_displacement(d: DiffeoIncrement) -> float:
@@ -82,7 +90,7 @@ def _max_displacement(d: DiffeoIncrement) -> float:
 
 
 def displacement_field(d: DiffeoIncrement) -> VectorField:
-    """a*dt + sum_i e_i*eta_i evaluated at the grid nodes."""
+    """a*dt + xi, with xi = sum_i e_i*eta_i, evaluated at the grid nodes."""
     return VectorField.from_arrays(d.basis.grid, _displacement_arrays(d))
 
 

@@ -179,9 +179,9 @@ def modified_wavevector(grid: Grid, k: Sequence[int]) -> Array:
     return np.sin(kappa * h) / h
 
 
-def fourier_mode_field(grid: Grid, spec: ModeSpec, wave: str) -> VectorField:
-    """Realise one wave of a ModeSpec as a vector field on the grid."""
-    kappa = 2.0 * np.pi * np.asarray(spec.k, dtype=np.float64) / np.asarray(grid.extents)
+def mode_amplitude(grid: Grid, spec: ModeSpec) -> Array:
+    """The amplitude vector of a ModeSpec on the grid: projected orthogonal to
+    the modified wavevector when solenoidal, which fails if nothing is left."""
     amp = np.asarray(spec.amplitude, dtype=np.float64)
     if amp.shape != (grid.dim,):
         raise ValueError(f"amplitude must have {grid.dim} entries")
@@ -193,6 +193,13 @@ def fourier_mode_field(grid: Grid, spec: ModeSpec, wave: str) -> VectorField:
             if float(np.abs(amp).max()) < 1e-15:
                 raise ValueError(f"amplitude of mode k={spec.k} is parallel to the wavevector; "
                                  "solenoidal projection leaves a zero field")
+    return amp
+
+
+def fourier_mode_field(grid: Grid, spec: ModeSpec, wave: str) -> VectorField:
+    """Realise one wave of a ModeSpec as a vector field on the grid."""
+    kappa = 2.0 * np.pi * np.asarray(spec.k, dtype=np.float64) / np.asarray(grid.extents)
+    amp = mode_amplitude(grid, spec)
     coords = grid.coords()
     phase = sum(kappa[p] * coords[p] for p in range(grid.dim))
     osc = np.sin(phase) if wave == "sin" else np.cos(phase)

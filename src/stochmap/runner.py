@@ -103,21 +103,24 @@ def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
     """Step loop shared by the models: record every step and snapshot when due.
 
     The initial state is built inside the guarded region, so a guard that
-    fires on it aborts the run at step 0.  The series are written whether the
-    run completes or a guard aborts it, so an aborted run keeps the
-    diagnostics of every step it finished.
+    fires on it aborts the run at step 0.  Overflow there is silent: the
+    finiteness scan of each step's fields is the one report, and it carries
+    the step.  The series are written whether the run completes or a guard
+    aborts it, so an aborted run keeps the diagnostics of every step it
+    finished.
     """
     step = 0
     try:
-        state = initial()
-        record(0.0, state)
-        if _snapshot_due(config, 0):
-            snap(0, state)
-        for step in range(1, config.n_steps + 1):
-            state = advance(state)
-            record(step * config.dt, state)
-            if _snapshot_due(config, step):
-                snap(step, state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = initial()
+            record(0.0, state)
+            if _snapshot_due(config, 0):
+                snap(0, state)
+            for step in range(1, config.n_steps + 1):
+                state = advance(state)
+                record(step * config.dt, state)
+                if _snapshot_due(config, step):
+                    snap(step, state)
     except (StabilityError, PositivityError, StepSizeError, NonFiniteError) as err:
         raise RuntimeAbort(f"step {step}: {err}") from err
     finally:

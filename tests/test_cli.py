@@ -65,6 +65,7 @@ def test_simulate_bad_key_is_config_error(tmp_path, capsys):
         (["noise.drift={k = [1, 0], amp = [0.1, 0], bogus = 3}"], "[noise] drift"),
         # values that only the grid shows to be wrong
         (["noise.mode={k = [1, 0, 0], amp = [0, 1, 0]}"], "[noise] mode"),
+        (["noise.mode={k = [1, 0], amp = [0.3, 0.0]}"], "[noise] mode"),   # solenoidal, amp parallel to k
         (["noise.drift_mode={k = [1, 0], amp = [0.1]}"], "[noise] drift"),
         (["grid.points=2 2"], "[grid] points"),
         (["grid.extents=1 2 3"], "[grid] extents"),

@@ -438,7 +438,6 @@ directory = OUT
 """
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_nonfinite_state_aborts_with_step(tmp_path):
     # explicit diffusion at five times its stability limit, with the guard
     # switched off by a huge c_stab, overflows after some 1500 steps
@@ -451,7 +450,6 @@ def test_nonfinite_state_aborts_with_step(tmp_path):
     assert main(["simulate", str(path)]) == EXIT_RUNTIME
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_nonfinite_initial_state_aborts_at_step_0(tmp_path):
     # the energy density of h0 = 1e200 overflows as the initial state is recorded
     overrides = ["tsw.h0=1e200", "run.n_steps=3", f"output.directory={tmp_path / 'out'}"]

@@ -55,21 +55,22 @@ def test_0form_pure_drift_advection_1d():
     r = perturb_0form(f, d)
     x = g.coords()[0]
     assert np.abs(r.drift - np.cos(x)).max() < 2 * g.spacing[0] ** 2
-    assert r.noise == ()
+    assert isinstance(r.noise, np.ndarray) and r.noise.shape == g.shape
+    assert np.all(r.noise == 0.0)
 
 
 def test_0form_constant_mode_analytic():
-    # e = (1, 0), a = 0, f = sin x: drift = -sin(x)/2, noise = cos x
+    # e = (1, 0), a = 0, f = sin x: drift = -sin(x)/2, noise = eta cos x
     g = grid2()
     d = constant_mode_increment(g, amp=(1.0, 0.0))
+    eta = float(d.increments.eta[0])
     f = smooth(g, lambda x, y: np.sin(x))
     r = perturb_0form(f, d)
     x, _ = g.coords()
     h = g.spacing[0]
     assert np.abs(r.drift + 0.5 * np.sin(x)).max() < h**2
-    assert np.abs(r.noise[0] - np.cos(x)).max() < h**2
-    combo = r.drift * d.dt + r.noise[0] * d.increments.eta[0]
-    assert np.array_equal(r.realized.values, combo)
+    assert np.abs(r.noise - eta * np.cos(x)).max() < abs(eta) * h**2
+    assert np.array_equal(r.realized.values, r.drift * d.dt + r.noise)
 
 
 def test_0form_zero_increment_is_zero():
@@ -130,8 +131,8 @@ def test_every_operator_linear_in_the_field(op):
 @pytest.mark.parametrize("op", ["0form", "nform_flux", "nform_pointwise", "1form", "nvector", "volume"])
 def test_parts_are_arrays_that_compose_the_realisation(op):
     # drift and noise are raw arrays of the grid shape (a list of dim arrays
-    # per 1-form part); the realised field is drift*dt + sum_i noise_i*eta_i,
-    # accumulated in that order, bit for bit
+    # per 1-form part); the realised field is drift*dt + noise, bit for bit,
+    # and the noise is the sum over modes of each one-mode basis's noise
     g = grid2(32)
     two_wave = (
         fourier_mode_field(g, ModeSpec(k=(1, 1), amplitude=(0.08, 0.05), solenoidal=False), "sin")
@@ -143,30 +144,30 @@ def test_parts_are_arrays_that_compose_the_realisation(op):
     d = make_increment(basis, 1e-3, np.random.default_rng(4))
     f = smooth(g, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(2 * y))
     v = VectorField(g, (f, smooth(g, lambda x, y: 0.5 * np.cos(x + y))))
-    r = {
-        "0form": lambda: perturb_0form(f, d),
-        "nform_flux": lambda: perturb_nform(f, d, NFormMode.FLUX),
-        "nform_pointwise": lambda: perturb_nform(f, d, NFormMode.POINTWISE),
-        "1form": lambda: perturb_1form(v, d),
-        "nvector": lambda: pushforward_nvector(f, d),
-        "volume": lambda: perturb_volume_multiplier(d),
-    }[op]()
-    parts = [r.drift, *r.noise]
-    assert len(r.noise) == len(basis.modes)
+    apply = {
+        "0form": lambda d: perturb_0form(f, d),
+        "nform_flux": lambda d: perturb_nform(f, d, NFormMode.FLUX),
+        "nform_pointwise": lambda d: perturb_nform(f, d, NFormMode.POINTWISE),
+        "1form": lambda d: perturb_1form(v, d),
+        "nvector": lambda d: pushforward_nvector(f, d),
+        "volume": lambda d: perturb_volume_multiplier(d),
+    }[op]
+    r = apply(d)
+    one_mode = [apply(DiffeoIncrement(NoiseBasis(g, (e,), drift), BrownianIncrements(d.dt, [eta])))
+                for e, eta in zip(basis.modes, d.increments.eta)]
     if op == "1form":
         assert isinstance(r.realized, VectorField)
-        assert all(isinstance(part, list) and len(part) == g.dim for part in parts)
-        per_component = [([part[j] for part in parts], r.realized.components[j]) for j in range(g.dim)]
+        assert all(isinstance(part, list) and len(part) == g.dim for part in (r.drift, r.noise))
+        per_component = [(r.drift[j], r.noise[j], r.realized.components[j], [o.noise[j] for o in one_mode])
+                         for j in range(g.dim)]
     else:
         assert isinstance(r.realized, ScalarField)
-        per_component = [(parts, r.realized)]
-    for (drift_j, *noise_j), realized in per_component:
-        for part in (drift_j, *noise_j):
+        per_component = [(r.drift, r.noise, r.realized, [o.noise for o in one_mode])]
+    for drift_j, noise_j, realized, per_mode in per_component:
+        for part in (drift_j, noise_j):
             assert isinstance(part, np.ndarray) and part.shape == g.shape
-        expect = drift_j * d.dt
-        for nv, eta in zip(noise_j, d.increments.eta):
-            expect = expect + nv * float(eta)
-        assert np.array_equal(realized.values, expect)
+        assert np.array_equal(realized.values, drift_j * d.dt + noise_j)
+        assert np.abs(noise_j - sum(per_mode)).max() <= 1e-14 * np.abs(noise_j).max()
 
 
 # --- volume multiplier ------------------------------------------------------
@@ -277,16 +278,17 @@ def test_1form_constant_everything_is_zero():
 
 def test_1form_gradient_coupling_term():
     # v = (1, 0), e = (sin y, 0), a = 0: only noise survives, component 2
-    # picks up d_y(e^x) v^x = cos y
+    # picks up eta d_y(e^x) v^x = eta cos y
     g = grid2()
     e = VectorField(g, (smooth(g, lambda x, y: np.sin(y)), ScalarField.zeros(g)))
     basis = NoiseBasis(g, (e,), VectorField.zeros(g))
-    d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.array([0.01])))
+    eta = 0.01
+    d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.array([eta])))
     v = VectorField.constant(g, (1.0, 0.0))
     r = perturb_1form(v, d)
     _, y = g.coords()
-    assert np.abs(r.noise[0][1] - np.cos(y)).max() < g.spacing[1] ** 2
-    assert np.abs(r.noise[0][0]).max() < 1e-15
+    assert np.abs(r.noise[1] - eta * np.cos(y)).max() < eta * g.spacing[1] ** 2
+    assert np.abs(r.noise[0]).max() < eta * 1e-15
     assert np.abs(r.drift[0]).max() < 1e-15
 
 
@@ -301,15 +303,16 @@ def test_1form_requires_two_dimensions():
 # --- n-vector ---------------------------------------------------------------
 
 def test_nvector_constant_mode_signs():
-    # constant e, a = 0: drift = (1/2) e e : grad grad g, noise = -e.grad g
+    # constant e, a = 0: drift = (1/2) e e : grad grad g, noise = -eta e.grad g
     g = grid2()
     d = constant_mode_increment(g, amp=(1.0, 0.0))
+    eta = float(d.increments.eta[0])
     f = smooth(g, lambda x, y: np.sin(x))
     r = pushforward_nvector(f, d)
     x, _ = g.coords()
     h = g.spacing[0]
     assert np.abs(r.drift + 0.5 * np.sin(x)).max() < h**2
-    assert np.abs(r.noise[0] + np.cos(x)).max() < h**2  # opposite sign to 0-form
+    assert np.abs(r.noise + eta * np.cos(x)).max() < abs(eta) * h**2  # opposite sign to 0-form
 
 
 def test_nvector_constant_field_keeps_wedge_term():
@@ -319,26 +322,29 @@ def test_nvector_constant_field_keeps_wedge_term():
         g, (smooth(g, lambda x, y: 0.4 * np.sin(y)), smooth(g, lambda x, y: 0.3 * np.sin(x)))
     )
     basis = NoiseBasis(g, (e,), VectorField.zeros(g), divergence_free=True)
-    d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.array([0.01])))
+    eta = 0.01
+    d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.array([eta])))
     const = ScalarField.constant(g, 2.0)
     r = pushforward_nvector(const, d)
-    assert np.abs(r.noise[0]).max() < 1e-15
+    assert np.abs(r.noise).max() < eta * 1e-15
     expect = 0.5 * volume_jacobian_coefficient(e).values * 2.0
     assert np.allclose(r.drift, expect, atol=1e-14)
 
 
 def test_nvector_constant_field_keeps_compressive_term():
     # g constant, e = (0.2 sin x, 0): J = 0, so the drift is all
-    # -(e.grad)(div e) g = 0.04 sin^2 x g, the mean drift of det J_T o T^-1
+    # -(e.grad)(div e) g = 0.04 sin^2 x g, the mean drift of det J_T o T^-1;
+    # the noise is eta (div e) g = 0.4 eta cos x
     g = grid2()
     e = VectorField(g, (smooth(g, lambda x, y: 0.2 * np.sin(x)), ScalarField.zeros(g)))
+    eta = 0.01
     d = DiffeoIncrement(NoiseBasis(g, (e,), VectorField.zeros(g)),
-                        BrownianIncrements(dt=1e-3, eta=np.array([0.01])))
+                        BrownianIncrements(dt=1e-3, eta=np.array([eta])))
     r = pushforward_nvector(ScalarField.constant(g, 2.0), d)
     x, _ = g.coords()
     h = g.spacing[0]
     assert np.abs(r.drift - 0.08 * np.sin(x) ** 2).max() < 0.1 * h**2
-    assert np.abs(r.noise[0] - 0.4 * np.cos(x)).max() < 0.1 * h**2
+    assert np.abs(r.noise - eta * 0.4 * np.cos(x)).max() < eta * 0.1 * h**2
 
 
 # --- mixed pair -------------------------------------------------------------

@@ -67,8 +67,7 @@ def _field_arrays(name: str, field) -> dict[str, np.ndarray]:
 
 def _result_arrays(name: str, result) -> dict[str, np.ndarray]:
     out = _field_arrays(f"{name}.drift", result.drift)
-    for i, noise in enumerate(result.noise):
-        out.update(_field_arrays(f"{name}.noise{i}", noise))
+    out.update(_field_arrays(f"{name}.noise", result.noise))
     out.update(_field_arrays(f"{name}.realized", result.realized))
     return out
 
