@@ -1,7 +1,10 @@
 """Discrete calculus on periodic grids.
 
 Centered second-order stencils throughout, all from the one periodic kernel
-`centered_difference` on raw arrays.  The summation-by-parts identity
+`centered_difference` on raw arrays.  The kernel indexes its input and output
+with slice tuples precomputed per axis, so a call costs three
+`np.subtract`s and one division, with no axis reordering.  The
+summation-by-parts identity
 
     sum_k u_k (D v)_k = -sum_k (D u)_k v_k
 
@@ -21,13 +24,24 @@ from .grid import Array, Grid, ScalarField, VectorField
 _CHUNK = 1 << 15  # points per interpolation chunk, bounds gather temporaries
 
 
+def _axis_slices(axis: int) -> tuple[tuple[slice, ...], ...]:
+    """Index tuples selecting, along ``axis``, the kernel's seven node ranges:
+    2:, :-2, 1:-1 (interior), 1:2, -1:, :1 (first node), -2:-1 (last node)."""
+    lead = (slice(None),) * axis
+    ranges = ((2, None), (None, -2), (1, -1), (1, 2), (-1, None), (None, 1), (-2, -1))
+    return tuple(lead + (slice(*r),) for r in ranges)
+
+
+_SLICES = tuple(_axis_slices(axis) for axis in range(3))   # grids have 1 to 3 axes
+
+
 def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
     """Periodic (v[k+1] - v[k-1]) / (2h) along ``axis`` of a raw array, by slices."""
     out = np.empty(v.shape)
-    src, dst = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
-    np.subtract(src[1:2], src[-1:], out=dst[:1])
-    np.subtract(src[:1], src[-2:-1], out=dst[-1:])
+    up, down, inner, second, last, first, next_to_last = _SLICES[axis]
+    np.subtract(v[up], v[down], out=out[inner])
+    np.subtract(v[second], v[last], out=out[first])
+    np.subtract(v[first], v[next_to_last], out=out[last])
     out /= 2.0 * grid.spacing[axis]
     return out
 

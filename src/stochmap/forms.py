@@ -22,9 +22,12 @@ density contrast built on it) transports the variant part along the
 does for you.
 
 The operators work on raw arrays (these assemblies sit in the inner loop of
-ensemble runs), and so are the drift and noise parts they return (a list of
-dim arrays per 1-form part); only the realised increment is a field.  Every
-stencil goes through the one periodic kernel `calculus.centered_difference`.
+ensemble runs), and so are the drift and noise parts they return and the raw
+realised increment drift*dt + noise, computed once (a list of dim arrays per
+1-form part).  The realised increment as a field, `realized`, is built on
+first read: a forecast step adds the raw increment to its state variable and
+wraps the sum once.  Every stencil goes through the one periodic kernel
+`calculus.centered_difference`.
 The drifts read the sums over modes (A = sum_i e_i e_i^T, sum_i J_i,
 sum_i e_i div e_i, sum_i (e_i . grad) e_i, sum_i (e_i . grad)(div e_i)) from
 their one home, `NoiseBasis.geometry`; only the 1-form's coupling term, and
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -42,7 +46,6 @@ from .calculus import centered_difference as _d
 from .calculus import derivative, sample_at
 from .grid import Array, Grid, ScalarField, TensorClass, VectorField
 from .maps import DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map
-from .noise import jacobian_wedge, mode_gradient
 
 Fieldish = Union[ScalarField, VectorField]
 
@@ -58,12 +61,20 @@ class NFormMode(Enum):
 
 @dataclass(frozen=True)
 class PerturbationResult:
-    """Drift and realised noise (linear in xi) as raw arrays, lists of dim
-    arrays for a 1-form; the realisation drift*dt + noise as a field."""
+    """Drift, realised noise (linear in xi) and the realisation
+    ``increment = drift*dt + noise`` as raw arrays, lists of dim arrays for a
+    1-form.  `realized`, the realisation as a field, is built on first read."""
 
     drift: Union[Array, list[Array]]
     noise: Union[Array, list[Array]]
-    realized: Fieldish
+    increment: Union[Array, list[Array]]
+    grid: Grid
+
+    @cached_property
+    def realized(self) -> Fieldish:
+        if isinstance(self.increment, list):
+            return VectorField.from_arrays(self.grid, self.increment)
+        return ScalarField(self.grid, self.increment)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +116,12 @@ def _variance_quadratic(amat: list[list[Array]], hess: list[list[Array]]) -> Arr
     return acc
 
 
-def volume_jacobian_coefficient(e: VectorField) -> ScalarField:
-    """Quadratic wedge term of the volume multiplier for one mode field."""
-    return ScalarField(e.grid, jacobian_wedge(*mode_gradient([c.values for c in e.components], e.grid)))
-
-
 def _assemble(grid: Grid, drift: Array, noise: Array, d: DiffeoIncrement) -> PerturbationResult:
-    return PerturbationResult(drift, noise, ScalarField(grid, drift * d.dt + noise))
+    return PerturbationResult(drift, noise, drift * d.dt + noise, grid)
 
 
 def _assemble_vector(grid: Grid, drift: list[Array], noise: list[Array], d: DiffeoIncrement) -> PerturbationResult:
-    realized = [drift[j] * d.dt + noise[j] for j in range(grid.dim)]
-    return PerturbationResult(drift, noise, VectorField.from_arrays(grid, realized))
+    return PerturbationResult(drift, noise, [drift[j] * d.dt + noise[j] for j in range(grid.dim)], grid)
 
 
 # ---------------------------------------------------------------------------

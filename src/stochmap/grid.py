@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 Array = np.ndarray
+T = TypeVar("T")
 
 
 class TensorClass(Enum):
@@ -56,7 +58,7 @@ class Grid:
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(ell / n for ell, n in zip(self.extents, self.shape))
 
@@ -102,6 +104,15 @@ class Grid:
 
 class NonFiniteError(ValueError):
     """A field took a NaN or infinite value: the state has blown up."""
+
+
+def named_field(name: str, build: Callable[..., T], *args) -> T:
+    """``build(*args)``, with ``name`` put in front of a NonFiniteError it
+    raises, so that a blow-up names the state variable it was found in."""
+    try:
+        return build(*args)
+    except NonFiniteError as err:
+        raise NonFiniteError(f"{name}: {err}") from err
 
 
 @dataclass(frozen=True)

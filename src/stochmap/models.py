@@ -22,7 +22,7 @@ from .forms import (
     perturb_nform,
     pushforward_nvector,
 )
-from .grid import Grid, ScalarField, TensorClass, VectorField
+from .grid import Grid, ScalarField, TensorClass, VectorField, named_field
 from .maps import DiffeoIncrement, inverse_increment, make_increment
 from .noise import NoiseBasis, ito_drift_correction
 
@@ -58,23 +58,36 @@ def check_stability(grid: Grid, dt: float, velocity_scale: float, diffusivity: f
 
 def apply_increment(field: Fieldish, tensor_class: TensorClass, d: DiffeoIncrement,
                     nform_mode: NFormMode = NFormMode.FLUX) -> Fieldish:
-    """Realised class-appropriate perturbation of one state variable.
+    """One state variable plus its realised class-appropriate perturbation,
+    ``field + increment`` on raw arrays, wrapped once.
 
     N_VECTOR rides the inverse increment (the pairing-preserving transport
     used for mixed covariant/variant state); the forward-map transport is
     available directly through forms.pushforward_nvector.
     """
-    if tensor_class is TensorClass.ZERO_FORM:
-        if isinstance(field, VectorField):
-            return VectorField(field.grid, tuple(perturb_0form(c, d).realized for c in field.components))
-        return perturb_0form(field, d).realized
-    if tensor_class is TensorClass.N_FORM:
-        return perturb_nform(field, d, nform_mode).realized
-    if tensor_class is TensorClass.ONE_FORM:
-        return perturb_1form(field, d).realized
-    if tensor_class is TensorClass.N_VECTOR:
-        return pushforward_nvector(field, inverse_increment(d)).realized
-    raise ValueError(f"no perturbation rule for tensor class {tensor_class}")
+    if tensor_class is TensorClass.ZERO_FORM and isinstance(field, VectorField):
+        increment = [perturb_0form(c, d).increment for c in field.components]
+    elif tensor_class is TensorClass.ZERO_FORM:
+        increment = perturb_0form(field, d).increment
+    elif tensor_class is TensorClass.N_FORM:
+        increment = perturb_nform(field, d, nform_mode).increment
+    elif tensor_class is TensorClass.ONE_FORM:
+        increment = perturb_1form(field, d).increment
+    elif tensor_class is TensorClass.N_VECTOR:
+        increment = pushforward_nvector(field, inverse_increment(d)).increment
+    else:
+        raise ValueError(f"no perturbation rule for tensor class {tensor_class}")
+    if isinstance(field, VectorField):
+        return VectorField.from_arrays(field.grid, [c.values + i for c, i in zip(field.components, increment)])
+    return field.with_values(field.values + increment)
+
+
+def _euler(field: Fieldish, update: Fieldish, dt: float) -> Fieldish:
+    """``field + update * dt`` on raw arrays, wrapped once."""
+    if isinstance(field, VectorField):
+        return VectorField.from_arrays(
+            field.grid, [c.values + u.values * dt for c, u in zip(field.components, update.components)])
+    return field.with_values(field.values + update.values * dt)
 
 
 def two_step_forecast(
@@ -94,19 +107,20 @@ def two_step_forecast(
     Noise coefficients are evaluated at the post-Euler fields.  All variables
     see the same sampled increment.  Passing ``increment`` overrides sampling
     (used by the correspondence tests); the rng is untouched in that case.
+    Each state variable is wrapped, and so scanned for finiteness, once after
+    its Euler update and once after its perturbation; a blow-up names it.
     """
+    tilde = dict(state)
     if rhs is not None:
         upd = rhs(state)
-        tilde = {k: state[k] + upd[k] * dt if k in upd else state[k] for k in state}
-    else:
-        tilde = dict(state)
+        for k, field in state.items():
+            if k in upd:
+                tilde[k] = named_field(k, _euler, field, upd[k], dt)
     if basis.is_null and increment is None:
         return tilde
     d = increment if increment is not None else make_increment(basis, dt, rng, safety)
-    out: State = {}
-    for k, field in tilde.items():
-        out[k] = field + apply_increment(field, assignment[k], d, nform_mode)
-    return out
+    return {k: named_field(k, apply_increment, field, assignment[k], d, nform_mode)
+            for k, field in tilde.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +304,9 @@ def tsw_deterministic_rhs(state: TSWState, params: TSWParams) -> State:
     coriolis = (params.fcor * u[1], -params.fcor * u[0])
     du = [coriolis[j] - _d(htheta, j, grid) + 0.5 * h * grad_theta[j]
           - u[0] * _d(u[j], 0, grid) - u[1] * _d(u[j], 1, grid) for j in range(2)]
-    return {"h": ScalarField(grid, dh), "theta": ScalarField(grid, dtheta), "u": VectorField.from_arrays(grid, du)}
+    return {"h": named_field("h", ScalarField, grid, dh),
+            "theta": named_field("theta", ScalarField, grid, dtheta),
+            "u": named_field("u", VectorField.from_arrays, grid, du)}
 
 
 def tsw_gravity_wave_speed(state: TSWState) -> float:

@@ -1,14 +1,16 @@
 """Batch simulation runner: seeded, reproducible, file-emitting.
 
-Every run writes a manifest (config echo, seed, package version), one CSV per
-diagnostic series, and `.fld` snapshots.  Nothing in the outputs depends on
-wall-clock time, so identical config plus seed gives byte-identical files.
+Every run writes a manifest (config echo, seed, package, Python and numpy
+versions), one CSV per diagnostic series, and `.fld` snapshots.  Nothing in
+the outputs depends on wall-clock time, so identical config plus seed gives
+byte-identical files.
 Ensemble members are independent trajectories with spawned seed streams,
 written to member_### subdirectories.
 """
 from __future__ import annotations
 
 import os
+import platform
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -19,7 +21,7 @@ from . import __version__
 from .calculus import integrate
 from .config import RunConfig
 from .fldio import write_field
-from .grid import Grid, NonFiniteError, TensorClass, VectorField
+from .grid import Grid, NonFiniteError, TensorClass, VectorField, named_field
 from .invariants import DiagnosticSeries, tsw_invariants
 from .maps import StepSizeError
 from .models import (
@@ -77,6 +79,8 @@ def _manifest_text(config: RunConfig) -> str:
         f"stochmap {__version__}\n"
         f"seed = {config.seed}\n"
         f"model = {config.model}\n"
+        f"python = {platform.python_version()}\n"
+        f"numpy = {np.__version__}\n"
         "--- config echo ---\n"
     )
     return head + (config.raw_text or "(constructed in memory)\n")
@@ -165,7 +169,7 @@ def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bo
     vel, diff = basis.scales   # the stability bound counts the model only when it runs
     if advect and config.rhs_enabled:
         u = VectorField.constant(grid, config.adv_velocity)
-        rhs = lambda s: {"f": advection_diffusion_rhs(s["f"], u, config.adv_diffusivity)}
+        rhs = lambda s: {"f": named_field("f", advection_diffusion_rhs, s["f"], u, config.adv_diffusivity)}
         vel += float(np.sqrt(sum(v * v for v in config.adv_velocity)))
         diff += config.adv_diffusivity
 

@@ -61,12 +61,22 @@ def test_derivative_axis_out_of_range():
         derivative(f, 2)
 
 
-@pytest.mark.parametrize("shape", [(7,), (8, 12), (5, 6, 9), (4, 4, 4)])
+STRIDED = "strided_view"
+
+
+@pytest.mark.parametrize("shape", [(7,), (8, 12), (5, 6, 9), (4, 4, 4), STRIDED])
 def test_centered_difference_equals_shifted_copy_formula(shape):
     # reference: the same (v[k+1] - v[k-1]) / (2h) built from rolled copies;
     # the slice kernel performs the identical operations, so equality is exact
+    if shape == STRIDED:
+        # every other plane of a larger array with its axes reversed: a view
+        # that is contiguous in neither C nor Fortran order
+        v = np.random.default_rng(5).standard_normal((12, 6, 9))[::2, :, 1::2].transpose(2, 1, 0)
+        assert not (v.flags.c_contiguous or v.flags.f_contiguous)
+        shape = v.shape
+    else:
+        v = np.random.default_rng(len(shape)).standard_normal(shape)
     g = Grid(shape, tuple(1.0 + 0.5 * p for p in range(len(shape))))
-    v = np.random.default_rng(len(shape)).standard_normal(shape)
     for axis in range(len(shape)):
         ref = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * g.spacing[axis])
         assert np.array_equal(centered_difference(v, axis, g), ref)

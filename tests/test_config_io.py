@@ -1,3 +1,4 @@
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,11 @@ def test_run_simulation_outputs(tmp_path):
     assert (out / "manifest.txt").exists()
     manifest = (out / "manifest.txt").read_text()
     assert "seed = 42" in manifest
+    head = manifest.splitlines()[:6]
+    assert head[2] == f"model = {cfg.model}"
+    assert head[3] == f"python = {platform.python_version()}"
+    assert head[4] == f"numpy = {np.__version__}"
+    assert head[5] == "--- config echo ---"
     for name in ("energy", "mass", "momentum_x", "momentum_y"):
         csv = (out / f"{name}.csv").read_text().splitlines()
         assert csv[0] == f"time,{name}"
@@ -443,7 +449,7 @@ def test_nonfinite_state_aborts_with_step(tmp_path):
     # switched off by a huge c_stab, overflows after some 1500 steps
     path = tmp_path / "blowup.cfg"
     path.write_text(BLOWUP_CONFIG.replace("OUT", str(tmp_path / "out")))
-    with pytest.raises(RuntimeAbort, match=r"^step \d+: field values must be finite") as info:
+    with pytest.raises(RuntimeAbort, match=r"^step \d+: f: field values must be finite") as info:
         run_simulation(load_config(path))
     assert isinstance(info.value.__cause__, NonFiniteError)
     assert (tmp_path / "out" / "total_integral.csv").exists()

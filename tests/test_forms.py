@@ -3,7 +3,15 @@ import pytest
 
 from stochmap.grid import Grid, ScalarField, TensorClass, VectorField
 from stochmap.calculus import integrate, sample_at
-from stochmap.noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis, fourier_mode_field
+from stochmap.noise import (
+    BrownianIncrements,
+    ModeSpec,
+    NoiseBasis,
+    build_fourier_basis,
+    fourier_mode_field,
+    jacobian_wedge,
+    mode_gradient,
+)
 from stochmap.maps import DiffeoIncrement, inverse_increment, inverse_map, make_increment
 from stochmap.forms import (
     NFormMode,
@@ -14,7 +22,6 @@ from stochmap.forms import (
     perturb_nform,
     perturb_volume_multiplier,
     pushforward_nvector,
-    volume_jacobian_coefficient,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -207,16 +214,21 @@ def test_volume_multiplier_lu_incompressible_basis_is_identity():
     assert np.abs(r.realized.values).max() < 1e-10
 
 
+def mode_wedge(e: VectorField):
+    """The Jacobian wedge J of one mode field, as a raw array."""
+    return jacobian_wedge(*mode_gradient([c.values for c in e.components], e.grid))
+
+
 def test_volume_jacobian_coefficient_mixed_shear():
     # e = (A sin y, B sin x): J = -2 A B cos x cos y (up to stencil factors)
     g = grid2()
     e = VectorField(
         g, (smooth(g, lambda x, y: 0.5 * np.sin(y)), smooth(g, lambda x, y: 0.3 * np.sin(x)))
     )
-    got = volume_jacobian_coefficient(e)
+    got = mode_wedge(e)
     x, y = g.coords()
     expect = -2.0 * 0.5 * 0.3 * np.cos(x) * np.cos(y)
-    assert np.abs(got.values - expect).max() < 5 * g.spacing[0] ** 2
+    assert np.abs(got - expect).max() < 5 * g.spacing[0] ** 2
 
 
 # --- n-form -----------------------------------------------------------------
@@ -327,7 +339,7 @@ def test_nvector_constant_field_keeps_wedge_term():
     const = ScalarField.constant(g, 2.0)
     r = pushforward_nvector(const, d)
     assert np.abs(r.noise).max() < eta * 1e-15
-    expect = 0.5 * volume_jacobian_coefficient(e).values * 2.0
+    expect = 0.5 * mode_wedge(e) * 2.0
     assert np.allclose(r.drift, expect, atol=1e-14)
 
 

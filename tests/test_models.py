@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from stochmap.grid import Grid, ScalarField, TensorClass, VectorField
+from stochmap.grid import Grid, NonFiniteError, ScalarField, TensorClass, VectorField
 from stochmap.calculus import derivative, integrate
 from stochmap.noise import ModeSpec, NoiseBasis, build_fourier_basis, fourier_mode_field, ito_drift_correction
-from stochmap.maps import forward_map, make_increment
-from stochmap.forms import NFormMode, perturb_0form
+from stochmap.maps import forward_map, inverse_increment, make_increment
+from stochmap.forms import NFormMode, perturb_0form, perturb_1form, perturb_nform, pushforward_nvector
 from stochmap.models import (
     PositivityError,
     StabilityError,
@@ -97,6 +97,91 @@ def test_forecast_noise_coefficients_use_post_euler_field():
     tilde = f + bump * 1e-3
     expect = tilde + perturb_0form(tilde, d).realized
     assert np.array_equal(out["f"].values, expect.values)
+
+
+def vector_0form_realized(v, d):
+    return VectorField(v.grid, tuple(perturb_0form(c, d).realized for c in v.components))
+
+
+@pytest.mark.parametrize("tensor_class, vector, realized", [
+    (TensorClass.ZERO_FORM, False, lambda f, d: perturb_0form(f, d).realized),
+    (TensorClass.ZERO_FORM, True, vector_0form_realized),
+    (TensorClass.N_FORM, False, lambda f, d: perturb_nform(f, d).realized),
+    (TensorClass.ONE_FORM, True, lambda v, d: perturb_1form(v, d).realized),
+    (TensorClass.N_VECTOR, False, lambda g, d: pushforward_nvector(g, inverse_increment(d)).realized),
+], ids=["0form", "0form_vector", "nform", "1form", "nvector"])
+def test_forecast_is_post_euler_field_plus_realized_increment(tensor_class, vector, realized):
+    # the step adds raw arrays and wraps each variable once; the sum must be
+    # bitwise the field arithmetic on the operator's realised increment
+    g = grid2(32)
+    basis = lu_basis(two_wave_basis(g))
+    d = make_increment(basis, 1e-3, np.random.default_rng(3))
+    f = smooth(g, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(2 * y))
+    bump = smooth(g, lambda x, y: np.cos(y) - 0.5 * np.sin(x + y))
+    if vector:
+        f = VectorField(g, (f, smooth(g, lambda x, y: 0.2 * np.cos(x - y))))
+        bump = VectorField(g, (bump, -0.7 * bump))
+    out = two_step_forecast({"x": f}, lambda s: {"x": bump}, {"x": tensor_class}, basis, 1e-3,
+                            np.random.default_rng(0), increment=d)["x"]
+    tilde = f + bump * 1e-3
+    expect = tilde + realized(tilde, d)
+    if vector:
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(out.components, expect.components))
+    else:
+        assert np.array_equal(out.values, expect.values)
+
+
+def test_tsw_step_wraps_each_state_variable_once_per_phase(monkeypatch):
+    # 4 right-hand-side outputs, 4 post-Euler components and 4 perturbed
+    # components per step; the perturbation builds no field of its own
+    g = grid2(32)
+    rng = np.random.default_rng(4)
+    state = TSWState(smooth(g, lambda x, y: 1.0 + 0.05 * np.sin(x)),
+                     smooth(g, lambda x, y: 1.0 + 0.04 * np.cos(y)),
+                     VectorField(g, (smooth(g, lambda x, y: 0.05 * np.sin(y)), ScalarField.zeros(g))))
+    basis = lu_basis(three_mode_basis(g))
+    state = tsw_spde_step(state, TSWParams(), basis, 1e-3, rng)   # builds the basis's cached parts
+    built = []
+    post_init = ScalarField.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(ScalarField, "__post_init__", counting)
+    for _ in range(10):
+        state = tsw_spde_step(state, TSWParams(), basis, 1e-3, rng)
+    assert len(built) <= 12 * 10
+
+
+def test_forecast_blowup_names_the_state_variable():
+    g = grid2(32)
+    one = ScalarField.constant(g, 1.0)
+    big = ScalarField.constant(g, 1e308)
+    null = NoiseBasis(g, (), VectorField.zeros(g))
+    zero_forms = {"a": TensorClass.ZERO_FORM, "b": TensorClass.ZERO_FORM}
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=r"^b: field values must be finite$"):
+        two_step_forecast({"a": one, "b": big}, lambda s: {"a": one, "b": big}, zero_forms, null, 10.0,
+                          np.random.default_rng(0))
+    # node values 0, M, 0, -M repeat along x: the centered difference is +-2M = inf
+    spiky = smooth(g, lambda x, y: 1e308 * np.sin(8 * x))
+    basis = three_mode_basis(g)
+    d = make_increment(basis, 1e-3, np.random.default_rng(1))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=r"^a: field values must be finite$"):
+        two_step_forecast({"b": one, "a": spiky}, None, zero_forms, basis, 1e-3,
+                          np.random.default_rng(0), increment=d)
+
+
+@pytest.mark.parametrize("name, h, theta, ux, params", [
+    ("h", 1e200, 1.0, 1e200, TSWParams()),                  # h u overflows in the mass flux
+    ("theta", 1.0, 1e300, 0.0, TSWParams(kappa=1e10)),      # the thermal relaxation overflows
+    ("u", 1.0, 1.0, 1e300, TSWParams(fcor=1e10)),           # the Coriolis term overflows
+], ids=["h", "theta", "u"])
+def test_tsw_rhs_blowup_names_the_state_variable(name, h, theta, ux, params):
+    g = grid2(16)
+    state = TSWState(ScalarField.constant(g, h), ScalarField.constant(g, theta), VectorField.constant(g, (ux, 0.0)))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=f"^{name}: field values must be finite$"):
+        tsw_deterministic_rhs(state, params)
 
 
 # --- advection-diffusion rhs ----------------------------------------------------

@@ -32,7 +32,6 @@ from stochmap.forms import (
     perturb_nform,
     perturb_volume_multiplier,
     pushforward_nvector,
-    volume_jacobian_coefficient,
 )
 from stochmap.grid import VectorField
 from stochmap.maps import DiffeoIncrement, inverse_increment
@@ -42,6 +41,8 @@ from stochmap.noise import (
     NoiseBasis,
     fourier_mode_field,
     ito_drift_correction,
+    jacobian_wedge,
+    mode_gradient,
 )
 from stochmap.runner import run_simulation
 
@@ -99,7 +100,8 @@ def operator_arrays() -> dict[str, np.ndarray]:
         for name, result in parts.items():
             out.update(_result_arrays(f"{label}.{name}", result))
         for i, e in enumerate(basis.modes):
-            out.update(_field_arrays(f"{label}.jacobian_wedge{i}", volume_jacobian_coefficient(e)))
+            wedge = jacobian_wedge(*mode_gradient([c.values for c in e.components], g))
+            out.update(_field_arrays(f"{label}.jacobian_wedge{i}", wedge))
         out.update(_field_arrays(f"{label}.ito_drift", ito_drift_correction(basis, 1.0)))
         out.update(_field_arrays(f"{label}.salt_drift", ito_drift_correction(basis, 0.5)))
         out.update(_field_arrays(f"{label}.inverse_drift", inverse_increment(d).basis.drift))
