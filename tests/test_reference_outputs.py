@@ -5,7 +5,9 @@ tensor-class operator on the 2D study scene, the Ito drift correction and the
 inverse increment's drift.  The operators run twice: with the scene's own
 basis, and with a compressive mode added that is a sum of two waves (a
 single plane wave makes the Jacobian wedge and e div e - (e . grad) e vanish,
-so it would leave those terms unchecked).  Each output array is stored as a
+so it would leave those terms unchecked).  The scalar classes, the mixed pair
+and the inverse drift run once more in 3D, on the 3D study scene's basis with
+such a compressive mode added.  Each output array is stored as a
 fingerprint: its L1 and L2 norms plus eight fixed random projections, which
 a change of any entry moves.  Values are compared at rtol 1e-12, with an
 absolute floor of 1e-12 times the array's L2 norm for entries that cancel to
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from stochmap.config import load_config
-from stochmap.convergence import make_scene_2d
+from stochmap.convergence import make_scene_2d, make_scene_3d
 from stochmap.fldio import read_field
 from stochmap.forms import (
     NFormMode,
@@ -33,7 +35,7 @@ from stochmap.forms import (
     perturb_volume_multiplier,
     pushforward_nvector,
 )
-from stochmap.grid import VectorField
+from stochmap.grid import ScalarField, VectorField
 from stochmap.maps import DiffeoIncrement, inverse_increment
 from stochmap.noise import (
     BrownianIncrements,
@@ -105,6 +107,34 @@ def operator_arrays() -> dict[str, np.ndarray]:
         out.update(_field_arrays(f"{label}.ito_drift", ito_drift_correction(basis, 1.0)))
         out.update(_field_arrays(f"{label}.salt_drift", ito_drift_correction(basis, 0.5)))
         out.update(_field_arrays(f"{label}.inverse_drift", inverse_increment(d).basis.drift))
+    out.update(scalar_arrays_3d())
+    return out
+
+
+def scalar_arrays_3d() -> dict[str, np.ndarray]:
+    scene = make_scene_3d(16)
+    g = scene.grid
+    two_wave = (
+        fourier_mode_field(g, ModeSpec(k=(1, 1, 0), amplitude=(0.06, 0.04, 0.05), solenoidal=False), "sin")
+        + fourier_mode_field(g, ModeSpec(k=(0, 1, 2), amplitude=(0.03, 0.05, 0.04), solenoidal=False), "cos")
+    )
+    basis = NoiseBasis(g, scene.basis.modes + (two_wave,), scene.basis.drift)
+    d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.array([0.03, -0.02, 0.025])))
+    f0 = ScalarField.from_function(g, lambda x, y, z: 1.5 + np.sin(x) * np.cos(z) + 0.3 * np.sin(y + 2 * z))
+    fn = ScalarField.from_function(g, lambda x, y, z: 1.2 + 0.5 * np.cos(x + y) + 0.3 * np.sin(2 * z))
+    gv = ScalarField.from_function(g, lambda x, y, z: 0.8 + 0.4 * np.sin(y) * np.cos(z) + 0.2 * np.cos(2 * x))
+    parts = {
+        "0form": perturb_0form(f0, d),
+        "nform_flux": perturb_nform(fn, d, NFormMode.FLUX),
+        "nform_pointwise": perturb_nform(fn, d, NFormMode.POINTWISE),
+        "nvector": pushforward_nvector(gv, d),
+        "volume": perturb_volume_multiplier(d),
+    }
+    parts["pair_nform"], parts["pair_nvector"] = perturb_mixed_pair(fn, gv, d)
+    out: dict[str, np.ndarray] = {}
+    for name, result in parts.items():
+        out.update(_result_arrays(f"3d.{name}", result))
+    out.update(_field_arrays("3d.inverse_drift", inverse_increment(d).basis.drift))
     return out
 
 
