@@ -28,10 +28,28 @@ realised increment drift*dt + noise, computed once (a list of dim arrays per
 first read: a forecast step adds the raw increment to its state variable and
 wraps the sum once.  Every stencil goes through the one periodic kernel
 `calculus.centered_difference`.
-The drifts read the sums over modes (A = sum_i e_i e_i^T, sum_i J_i,
-sum_i e_i div e_i, sum_i (e_i . grad) e_i, sum_i (e_i . grad)(div e_i)) from
-their one home, `NoiseBasis.geometry`; only the 1-form's coupling term, and
-its noise with it, visits the modes one by one.
+
+The scalar classes share one increment form, assembled by `_scalar`:
+
+    drift = c0 f + c1.grad f + (1/2) A:grad grad f
+    noise = s0 (div xi) f + s1 xi.grad f
+
+and differ only in their row of coefficients (b_e = sum_i e_i div e_i,
+s_e = sum_i (e_i . grad) e_i, g_e = sum_i (e_i . grad)(div e_i)):
+
+    0-form            c0 = -                     c1 = a                (0, +1)
+    pointwise n-form  c0 = div a + (1/2) sum J   c1 = a + b_e          (1, +1)
+    n-vector          c0 = div a + (1/2) sum J - g_e
+                                                 c1 = s_e - b_e - a    (1, -1)
+
+The volume multiplier is the row with f = 1 (drift div a + (1/2) sum J,
+noise div xi); the flux n-form keeps its divergence form, reading the bracket
+velocity b = a + (1/2)(b_e - s_e), so that mass stays exact.  The rows are
+step-invariant, and those a forecast step reads are tables on `NoiseBasis`
+(`volume_drift`, `nvector_rows`, `flux_velocity`), built on first read from
+the sums over modes in `NoiseBasis.geometry`; the pointwise n-form adds its
+c1 per call.  Only the 1-form's coupling term, and its noise with it, visits
+the modes one by one.
 """
 from __future__ import annotations
 
@@ -94,16 +112,12 @@ def _hessian(grads: list[Array], grid: Grid) -> list[list[Array]]:
     return hess
 
 
-def _drift_arrays(d: DiffeoIncrement) -> list[Array]:
-    return [c.values for c in d.basis.drift.components]
-
-
 def _div(vecs: list[Array], grid: Grid) -> Array:
     return sum(_d(vecs[p], p, grid) for p in range(grid.dim))
 
 
-def _dot(e: list[Array], grads: list[Array]) -> Array:
-    return sum(e[p] * grads[p] for p in range(len(e)))
+def _dot(e: list[Array], grads: list[Array], start=0) -> Array:
+    return sum((e[p] * grads[p] for p in range(len(e))), start)
 
 
 def _variance_quadratic(amat: list[list[Array]], hess: list[list[Array]]) -> Array:
@@ -116,12 +130,31 @@ def _variance_quadratic(amat: list[list[Array]], hess: list[list[Array]]) -> Arr
     return acc
 
 
-def _assemble(grid: Grid, drift: Array, noise: Array, d: DiffeoIncrement) -> PerturbationResult:
+def _assemble(grid: Grid, drift, noise, d: DiffeoIncrement) -> PerturbationResult:
+    if isinstance(drift, list):
+        return PerturbationResult(drift, noise, [dj * d.dt + nj for dj, nj in zip(drift, noise)], grid)
     return PerturbationResult(drift, noise, drift * d.dt + noise, grid)
 
 
-def _assemble_vector(grid: Grid, drift: list[Array], noise: list[Array], d: DiffeoIncrement) -> PerturbationResult:
-    return PerturbationResult(drift, noise, [drift[j] * d.dt + noise[j] for j in range(grid.dim)], grid)
+def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> PerturbationResult:
+    """The one assembly of a scalar class from its row of coefficients:
+
+      drift = c0 f + c1.grad f + (1/2) A:grad grad f
+      noise = s0 (div xi) f + s1 xi.grad f,   s0 in {0, 1}, s1 = +-1
+
+    The terms are summed left to right from c0 f; c0 None (the 0-form) adds
+    c1.grad f as one dot product after the quadratic term, and c1 None
+    leaves it out.
+    """
+    grid, fv, xi = f.grid, f.values, d.noise_displacement
+    grads = _grad(fv, grid)
+    drift = _variance_quadratic(d.basis.geometry.amat, _hessian(grads, grid))
+    if c0 is not None:
+        drift = _dot(c1, grads, c0 * fv + drift)
+    elif c1 is not None:
+        drift = drift + _dot(c1, grads)
+    noise = _div(xi, grid) * fv + s1 * _dot(xi, grads) if s0 else s1 * _dot(xi, grads)
+    return _assemble(grid, drift, noise, d)
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +166,19 @@ def perturb_0form(f: ScalarField, d: DiffeoIncrement) -> PerturbationResult:
     drift = a.grad f + (1/2) sum_i e_i^p e_i^q d_p d_q f
     noise = xi.grad f
     """
-    grid = f.grid
-    grads = _grad(f.values, grid)
-    drift = _variance_quadratic(d.basis.geometry.amat, _hessian(grads, grid))
-    if d.basis.has_drift:
-        drift = drift + _dot(_drift_arrays(d), grads)
-    return _assemble(grid, drift, _dot(d.noise_displacement, grads), d)
+    a = [c.values for c in d.basis.drift.components] if d.basis.has_drift else None
+    return _scalar(f, d, None, a, 0, 1)
 
 
 def perturb_volume_multiplier(d: DiffeoIncrement) -> PerturbationResult:
     """Multiplier increment picked up by the volume element under the map.
 
-    drift = div a + (1/2) sum_i J_i,  noise = div xi.  The realised field
-    is multiplier - 1; it vanishes identically when the basis satisfies the
-    incompressibility pair div e_i = 0 and d_p d_q (sum_i e_i^p e_i^q) = 0.
+    The scalar row with f = 1: drift = div a + (1/2) sum_i J_i (the basis's
+    `volume_drift`), noise = div xi.  The realised field is multiplier - 1;
+    it vanishes identically when the basis satisfies the incompressibility
+    pair div e_i = 0 and d_p d_q (sum_i e_i^p e_i^q) = 0.
     """
-    grid = d.grid
-    drift = _div(_drift_arrays(d), grid) + 0.5 * d.basis.geometry.wedge
-    return _assemble(grid, drift, _div(d.noise_displacement, grid), d)
+    return _assemble(d.grid, d.basis.volume_drift.copy(), _div(d.noise_displacement, d.grid), d)
 
 
 def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMode.FLUX) -> PerturbationResult:
@@ -162,27 +190,21 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
               + (1/2) e e : grad grad f
       noise = (div xi) f + xi.grad f
 
-    while flux assembly writes the same increment as a discrete divergence
-    (noise = sum_p D_p(xi^p f)), so that integrate(realized) telescopes to
-    zero for every realisation.
-    """
-    grid = f.grid
-    fv = f.values
-    geo = d.basis.geometry
-    xi = d.noise_displacement
-    a = _drift_arrays(d)
-    grads = _grad(fv, grid)
-    if mode is NFormMode.POINTWISE:
-        drift = (_div(a, grid) + 0.5 * geo.wedge) * fv + _variance_quadratic(geo.amat, _hessian(grads, grid))
-        for p in range(grid.dim):
-            drift = drift + (a[p] + geo.e_div_e[p]) * grads[p]
-        return _assemble(grid, drift, _div(xi, grid) * fv + _dot(xi, grads), d)
+    while flux assembly writes the same increment as a discrete divergence,
 
-    # flux form: drift = d_p [ (a^p + (1/2)(e^p div e - (e.grad) e^p)) f + (1/2) A^{pq} d_q f ]
-    drift = 0.0
-    for p in range(grid.dim):
-        bracket = (a[p] + 0.5 * (geo.e_div_e[p] - geo.self_adv[p])) * fv + 0.5 * _dot(geo.amat[p], grads)
-        drift = drift + _d(bracket, p, grid)
+      drift = d_p [ b^p f + (1/2) A^{pq} d_q f ],  b = a + (1/2)(e div e - (e.grad) e)
+      noise = d_p (xi^p f)
+
+    so that integrate(realized) telescopes to zero for every realisation.
+    """
+    basis = d.basis
+    if mode is NFormMode.POINTWISE:
+        c1 = [c.values + ede for c, ede in zip(basis.drift.components, basis.geometry.e_div_e)]
+        return _scalar(f, d, basis.volume_drift, c1, 1, 1)
+    grid, fv, xi = f.grid, f.values, d.noise_displacement
+    amat, b = basis.geometry.amat, basis.flux_velocity
+    grads = _grad(fv, grid)
+    drift = sum(_d(b[p] * fv + 0.5 * _dot(amat[p], grads), p, grid) for p in range(grid.dim))
     return _assemble(grid, drift, sum(_d(xi[p] * fv, p, grid) for p in range(grid.dim)), d)
 
 
@@ -197,7 +219,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     if grid.dim < 2:
         raise ValueError("1-form transport needs dim >= 2")
     amat = d.basis.geometry.amat    # first, so it is not built while the arrays below are live
-    a = _drift_arrays(d)
+    a = [c.values for c in d.basis.drift.components]
     vv = [c.values for c in v.components]
     grads = [_grad(c, grid) for c in vv]      # grads[p][q] = d_q v^p
     drift = []
@@ -214,7 +236,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
             de_j = [_d(c, j, grid) for c in e]                # d_j e^p, one row at a time
             drift[j] = drift[j] + _dot(de_j, egrad)
             noise[j] += (egrad[j] + _dot(de_j, vv)) * float(eta)
-    return _assemble_vector(grid, drift, noise, d)
+    return _assemble(grid, drift, noise, d)
 
 
 def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResult:
@@ -229,17 +251,7 @@ def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResul
     (e.grad)(div e) term vanishes for divergence-free modes.  The divergence and
     advection velocities differ, and the noise sign is opposite to the 0-form case.
     """
-    grid = g.grid
-    gv = g.values
-    geo = d.basis.geometry
-    a = _drift_arrays(d)
-    grads = _grad(gv, grid)
-    drift = ((_div(a, grid) + 0.5 * geo.wedge - geo.e_grad_div) * gv
-             + _variance_quadratic(geo.amat, _hessian(grads, grid)))
-    for p in range(grid.dim):
-        drift = drift + (geo.self_adv[p] - geo.e_div_e[p] - a[p]) * grads[p]
-    xi = d.noise_displacement
-    return _assemble(grid, drift, _div(xi, grid) * gv - _dot(xi, grads), d)
+    return _scalar(g, d, *d.basis.nvector_rows, 1, -1)
 
 
 def perturb_mixed_pair(

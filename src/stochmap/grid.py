@@ -225,9 +225,6 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, tuple(-c for c in self.components))
-
     def max_norm(self) -> float:
         """max over nodes of the Euclidean component norm."""
         return float(np.sqrt(sum(c.values**2 for c in self.components)).max())

@@ -3,15 +3,15 @@
 The forward map is T(x) = x + a(x) dt + sum_i e_i(x) eta_i.  Its inverse, to
 the order the scheme works at, is another increment of the same shape with
 
-    drift  z   = -a + sum_i (e_i . grad) e_i
-    modes  b_i = -e_i
+    drift  z = -a + sum_i (e_i . grad) e_i
 
-sharing the *same* eta_i.  `inverse_increment` returns that increment, so
-`forward/inverse` and the variant-tensor transport all go through one code
-path; inverting twice restores the original coefficients exactly.  Its basis
-depends on the forward basis alone and is built once per basis
-(`NoiseBasis.inverse`); its drift and modes reuse the forward basis's sums
-over modes (`NoiseBasis.geometry`), which are even in e.
+on the *same* modes e_i, driven by the negated increments -eta_i.
+`inverse_increment` returns that increment, so `forward/inverse` and the
+variant-tensor transport all go through one code path; inverting twice
+restores the original basis and eta exactly.  Its basis depends on the
+forward basis alone and is built once per basis (`NoiseBasis.inverse`); it
+holds no mode arrays of its own and shares the forward basis's sums over
+modes (`NoiseBasis.geometry`).
 
 The random part reaches the guard, the map and every operator's noise term
 through one field, the noise displacement xi = sum_i eta_i e_i at the nodes
@@ -107,8 +107,14 @@ def forward_map(d: DiffeoIncrement, points: Array) -> Array:
 
 
 def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:
-    """The increment realising T^{-1}: drift -a + (e.grad)e, modes -e_i, same eta."""
-    return DiffeoIncrement(d.basis.inverse, d.increments, d.safety)
+    """The increment realising T^{-1}: drift -a + (e.grad)e, same modes, eta negated.
+
+    A step-size guard failure of the inverse says so: "inverse map: ...".
+    """
+    try:
+        return DiffeoIncrement(d.basis.inverse, BrownianIncrements(d.dt, -d.increments.eta), d.safety)
+    except StepSizeError as err:
+        raise StepSizeError(f"inverse map: {err}") from None
 
 
 def inverse_map(d: DiffeoIncrement, points: Array) -> Array:

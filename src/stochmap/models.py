@@ -24,7 +24,7 @@ from .forms import (
 )
 from .grid import Grid, ScalarField, TensorClass, VectorField, named_field
 from .maps import DiffeoIncrement, inverse_increment, make_increment
-from .noise import NoiseBasis, ito_drift_correction
+from .noise import BrownianIncrements, NoiseBasis, ito_drift_correction, sample_increments
 
 Fieldish = Union[ScalarField, VectorField]
 State = dict[str, Fieldish]
@@ -151,9 +151,9 @@ def lu_basis(basis: NoiseBasis) -> NoiseBasis:
 def salt_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator,
                    safety: float = 1.0) -> DiffeoIncrement:
     """Map increment in the Stratonovich transport convention:
-    drift (1/2)(e.grad)e, noise sign flipped."""
-    flipped = basis.inverse.with_drift(ito_drift_correction(basis, 0.5))
-    return make_increment(flipped, dt, rng, safety)
+    drift (1/2)(e.grad)e, noise sign flipped (the same modes, eta negated)."""
+    half = basis.with_drift(ito_drift_correction(basis, 0.5))
+    return DiffeoIncrement(half, BrownianIncrements(dt, -sample_increments(basis.n_modes, dt, rng).eta), safety)
 
 
 def lu_discrepancy_0form(d: DiffeoIncrement, f: ScalarField) -> float:
@@ -331,7 +331,7 @@ def tsw_spde_step(
     if rhs_enabled:
         vel += state.u.max_norm() + tsw_gravity_wave_speed(state)
     check_stability(state.grid, dt, vel, diff, c_stab)
-    rhs = (lambda s: tsw_deterministic_rhs(TSWState(s["h"], s["theta"], s["u"]), params)) if rhs_enabled else None
+    rhs = (lambda _: tsw_deterministic_rhs(state, params)) if rhs_enabled else None
     new = two_step_forecast(
         state.as_dict(), rhs, TSW_ASSIGNMENT, basis, dt, rng,
         nform_mode=nform_mode, safety=safety,

@@ -7,7 +7,12 @@ test oracles and makes divergence-free projection exact.  `mode_gradient` is
 the one implementation of a mode's discrete gradient.  The drifts see the
 modes only through sums over them (the variance tensor sum_i e_i e_i^T and
 its companions), whose one home is `NoiseBasis.geometry`: built once per set
-of modes, and shared with the inverse basis since every sum is even in e.
+of modes, and shared by every basis with the same modes and another drift.
+The inverse basis is one of those: same modes, drift sum_i (e_i . grad) e_i - a,
+driven by negated eta.  From the geometry and the drift, each basis builds on
+first read the step-invariant coefficient tables of the scalar tensor classes
+(`volume_drift`, `nvector_rows`, `flux_velocity`), which the one scalar
+assembler in `forms` reads.
 
 Divergence-free means divergence-free *for the discrete operator*: wave
 amplitudes are projected orthogonal to the modified wavevector
@@ -17,6 +22,7 @@ wavevectors this coincides with the analytic projection.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -70,12 +76,10 @@ class NoiseBasis:
                 scale = max(e.max_norm(), 1.0)
                 if div_max > 1e-12 * scale:
                     raise ValueError(f"mode {i} claims divergence-free but max|div| = {div_max:.3e}")
-        has_drift = any(np.any(c.values) for c in self.drift.components)
-        object.__setattr__(self, "_has_drift", has_drift)
 
-    @property
+    @cached_property
     def has_drift(self) -> bool:
-        return self._has_drift  # type: ignore[attr-defined]
+        return any(np.any(c.values) for c in self.drift.components)
 
     @property
     def n_modes(self) -> int:
@@ -98,20 +102,49 @@ class NoiseBasis:
         return self.drift.max_norm(), 0.5 * sum(e.max_norm() ** 2 for e in self.modes)
 
     def with_drift(self, drift: VectorField) -> "NoiseBasis":
-        return self._sharing_geometry(self.modes, drift)
-
-    @cached_property
-    def inverse(self) -> "NoiseBasis":
-        """Basis of the inverse map, built once per basis: modes -e_i and
-        drift sum_i (e_i . grad) e_i - a (see `maps.inverse_increment`)."""
-        return self._sharing_geometry(tuple(-e for e in self.modes),
-                                      ito_drift_correction(self, 1.0) - self.drift)
-
-    def _sharing_geometry(self, modes: tuple[VectorField, ...], drift: VectorField) -> "NoiseBasis":
-        """A basis with modes +-e_i and a new drift, reusing this basis's geometry."""
-        other = NoiseBasis(self.grid, modes, drift, self.divergence_free)
+        """The same modes with another drift, sharing this basis's geometry."""
+        other = NoiseBasis(self.grid, self.modes, drift, self.divergence_free)
         other.__dict__["geometry"] = self.geometry
         return other
+
+    @property
+    def inverse(self) -> "NoiseBasis":
+        """Basis of the inverse map, built once per basis: the same modes with
+        drift sum_i (e_i . grad) e_i - a, driven by negated eta (see
+        `maps.inverse_increment`).  Its own inverse is this basis, held by a
+        weak reference: a cycle would keep both bases and their tables alive
+        until a full garbage collection."""
+        inverse = self.__dict__.get("_inverse", lambda: None)()
+        if inverse is None:
+            inverse = self.with_drift(ito_drift_correction(self, 1.0) - self.drift)
+            inverse.__dict__["_inverse"] = weakref.ref(self)
+            self.__dict__["_inverse"] = lambda: inverse
+        return inverse
+
+    # Step-invariant coefficient tables of the scalar classes (`forms._scalar`),
+    # each built on first read, so a run holds only the tables it reads.
+
+    @cached_property
+    def volume_drift(self) -> Array:
+        """div a + (1/2) sum_i J_i: the volume multiplier's drift and the
+        pointwise n-form's c0."""
+        div_a = sum(centered_difference(c.values, p, self.grid) for p, c in enumerate(self.drift.components))
+        return div_a + 0.5 * self.geometry.wedge
+
+    @cached_property
+    def nvector_rows(self) -> tuple[Array, list[Array]]:
+        """The n-vector's (c0, c1): div a + (1/2) sum_i J_i - sum_i (e_i . grad)(div e_i)
+        and sum_i (e_i . grad) e_i - sum_i e_i div e_i - a."""
+        geo = self.geometry
+        return (self.volume_drift - geo.e_grad_div,
+                [sa - ede - c.values for sa, ede, c in zip(geo.self_adv, geo.e_div_e, self.drift.components)])
+
+    @cached_property
+    def flux_velocity(self) -> list[Array]:
+        """b = a + (1/2)(sum_i e_i div e_i - sum_i (e_i . grad) e_i): the flux
+        n-form's bracket velocity."""
+        geo = self.geometry
+        return [c.values + 0.5 * (ede - sa) for c, ede, sa in zip(self.drift.components, geo.e_div_e, geo.self_adv)]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from stochmap.noise import (
     NoiseBasis,
     build_fourier_basis,
     ito_drift_correction,
+    sample_increments,
 )
 from stochmap.maps import (
     DiffeoIncrement,
@@ -83,7 +87,8 @@ def test_constant_mode_inverse_is_exact():
 
 
 def test_inverse_increment_coefficients():
-    # drift of the inverse is the correction term minus the drift; modes flip
+    # drift of the inverse is the correction term minus the drift; each mode's
+    # noise term flips: the same mode, driven by the negated draw
     g = Grid((48, 48), (TWO_PI, TWO_PI))
     drift = VectorField.constant(g, (0.2, -0.1))
     basis = build_fourier_basis(
@@ -92,13 +97,35 @@ def test_inverse_increment_coefficients():
         drift=drift,
     )
     d = make_increment(basis, 1e-3, np.random.default_rng(0))
+    eta = sample_increments(basis.n_modes, 1e-3, np.random.default_rng(0)).eta
     inv = inverse_increment(d)
     expect = ito_drift_correction(basis, 1.0) - drift
     for p in range(2):
         assert np.allclose(inv.basis.drift.components[p].values, expect.components[p].values, atol=1e-15)
-        for e_inv, e in zip(inv.basis.modes, basis.modes):
-            assert np.array_equal(e_inv.components[p].values, -e.components[p].values)
-    assert np.array_equal(inv.increments.eta, d.increments.eta)
+        for e_inv, eta_inv, e, eta_i in zip(inv.basis.modes, inv.increments.eta, basis.modes, eta):
+            assert np.array_equal(e_inv.components[p].values * eta_inv, -e.components[p].values * eta_i)
+    assert np.array_equal(d.increments.eta, eta)
+
+
+def test_inverse_shares_the_forward_modes_and_negates_xi():
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False),
+                                    ModeSpec(k=(2, 1), amplitude=(0.1, 0.0))])
+    d = make_increment(basis, 1e-3, np.random.default_rng(5))
+    assert all(e_inv is e for e_inv, e in zip(basis.inverse.modes, basis.modes))
+    for xi_inv, xi in zip(inverse_increment(d).noise_displacement, d.noise_displacement):
+        assert np.array_equal(xi_inv, -xi)
+
+
+def test_inverse_guard_failure_names_the_inverse_map():
+    # forward max displacement 0.0015, inverse 0.0033 (its drift is
+    # (e.grad)e), against a bound of 0.5 * (2 pi / 32) * 0.025 = 0.00245
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 0), amplitude=(0.3, 0.0), solenoidal=False)])
+    d = DiffeoIncrement(basis, BrownianIncrements(dt=5e-2, eta=np.array([0.005])), safety=0.025)
+    assert displacement_field(d).max_norm() < 0.0016
+    with pytest.raises(StepSizeError, match=r"^inverse map: max displacement 3\.31\de-03 exceeds 2\.45\de-03"):
+        inverse_increment(d)
 
 
 def test_inverse_basis_is_built_once_per_basis():
@@ -112,14 +139,15 @@ def test_inverse_basis_is_built_once_per_basis():
 
 
 def test_geometry_is_built_once_per_set_of_modes():
-    # every sum over modes is even in e, so the inverse basis (modes -e_i) and
-    # a basis with another drift share the forward basis's geometry
+    # the inverse basis and a basis with another drift share the forward
+    # basis's geometry; every sum over modes is even in e, so negated modes
+    # would give the same sums
     g = Grid((32, 32), (TWO_PI, TWO_PI))
     basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False),
                                     ModeSpec(k=(2, 1), amplitude=(0.1, 0.0))])
     assert basis.inverse.geometry is basis.geometry
     assert basis.with_drift(VectorField.constant(g, (0.1, 0.0))).geometry is basis.geometry
-    flipped = BasisGeometry.of(g, basis.inverse.modes)
+    flipped = BasisGeometry.of(g, tuple(e * -1.0 for e in basis.modes))
     for name in ("wedge", "e_div_e", "self_adv", "e_grad_div", "amat"):
         assert np.array_equal(getattr(flipped, name), getattr(basis.geometry, name))
 
@@ -132,11 +160,26 @@ def test_double_inverse_restores_coefficients():
     )
     d = make_increment(basis, 1e-3, np.random.default_rng(1))
     dd = inverse_increment(inverse_increment(d))
+    assert basis.inverse.inverse is basis
+    assert dd.basis is d.basis
+    assert np.array_equal(dd.increments.eta, d.increments.eta)
     for p in range(2):
-        assert np.allclose(dd.basis.drift.components[p].values,
-                           d.basis.drift.components[p].values, atol=1e-15)
-        for e2, e in zip(dd.basis.modes, d.basis.modes):
-            assert np.array_equal(e2.components[p].values, e.components[p].values)
+        assert np.array_equal(dd.basis.drift.components[p].values, d.basis.drift.components[p].values)
+
+
+def test_basis_and_its_inverse_form_no_reference_cycle():
+    # a cycle would keep both bases and their tables alive until a full
+    # garbage collection, which repeated runs in one process never wait for
+    g = Grid((16, 16), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False)])
+    assert basis.inverse.inverse is basis
+    inverse = weakref.ref(basis.inverse)
+    gc.disable()
+    try:
+        del basis
+        assert inverse() is None
+    finally:
+        gc.enable()
 
 
 def test_composition_residual_positive_for_varying_modes():

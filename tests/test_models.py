@@ -3,7 +3,14 @@ import pytest
 
 from stochmap.grid import Grid, NonFiniteError, ScalarField, TensorClass, VectorField
 from stochmap.calculus import derivative, integrate
-from stochmap.noise import ModeSpec, NoiseBasis, build_fourier_basis, fourier_mode_field, ito_drift_correction
+from stochmap.noise import (
+    ModeSpec,
+    NoiseBasis,
+    build_fourier_basis,
+    fourier_mode_field,
+    ito_drift_correction,
+    sample_increments,
+)
 from stochmap.maps import forward_map, inverse_increment, make_increment
 from stochmap.forms import NFormMode, perturb_0form, perturb_1form, perturb_nform, pushforward_nvector
 from stochmap.models import (
@@ -133,7 +140,9 @@ def test_forecast_is_post_euler_field_plus_realized_increment(tensor_class, vect
 
 def test_tsw_step_wraps_each_state_variable_once_per_phase(monkeypatch):
     # 4 right-hand-side outputs, 4 post-Euler components and 4 perturbed
-    # components per step; the perturbation builds no field of its own
+    # components per step; the perturbation builds no field of its own, and
+    # the right-hand side reads the state it is given, so the step builds
+    # one TSWState, its result
     g = grid2(32)
     rng = np.random.default_rng(4)
     state = TSWState(smooth(g, lambda x, y: 1.0 + 0.05 * np.sin(x)),
@@ -141,17 +150,22 @@ def test_tsw_step_wraps_each_state_variable_once_per_phase(monkeypatch):
                      VectorField(g, (smooth(g, lambda x, y: 0.05 * np.sin(y)), ScalarField.zeros(g))))
     basis = lu_basis(three_mode_basis(g))
     state = tsw_spde_step(state, TSWParams(), basis, 1e-3, rng)   # builds the basis's cached parts
-    built = []
-    post_init = ScalarField.__post_init__
+    built = {ScalarField: 0, TSWState: 0}
 
-    def counting(self):
-        built.append(1)
-        post_init(self)
+    def counting(cls):
+        post_init = cls.__post_init__
 
-    monkeypatch.setattr(ScalarField, "__post_init__", counting)
+        def count(self):
+            built[cls] += 1
+            post_init(self)
+        return count
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
     for _ in range(10):
         state = tsw_spde_step(state, TSWParams(), basis, 1e-3, rng)
-    assert len(built) <= 12 * 10
+    assert built[ScalarField] <= 12 * 10
+    assert built[TSWState] == 10
 
 
 def test_forecast_blowup_names_the_state_variable():
@@ -285,23 +299,23 @@ def test_salt_increment_drift_and_noise_sign():
     g = grid2()
     basis = three_mode_basis(g)
     d = salt_increment(basis, 1e-3, np.random.default_rng(8))
+    eta = sample_increments(basis.n_modes, 1e-3, np.random.default_rng(8)).eta
     half = ito_drift_correction(basis, 0.5)
     full = ito_drift_correction(basis, 1.0)
     for p in range(2):
         assert np.array_equal(d.basis.drift.components[p].values, half.components[p].values)
         assert np.array_equal(2.0 * half.components[p].values, full.components[p].values)
-        for e_s, e in zip(d.basis.modes, basis.modes):
-            assert np.array_equal(e_s.components[p].values, -e.components[p].values)
+        for e_s, eta_s, e, eta_i in zip(d.basis.modes, d.increments.eta, basis.modes, eta):
+            assert np.array_equal(e_s.components[p].values * eta_s, -e.components[p].values * eta_i)
 
 
 def test_salt_constant_mode_is_pure_shift():
     g = Grid((8, 8), (TWO_PI, TWO_PI))
     basis = build_fourier_basis(g, [ModeSpec(k=(0, 0), amplitude=(1.0, 0.0))])
-    rng = np.random.default_rng(9)
-    d = salt_increment(basis, 1e-3, rng)
+    d = salt_increment(basis, 1e-3, np.random.default_rng(9))
     pts = g.points()
     got = forward_map(d, pts)
-    shift = -d.increments.eta[0]
+    shift = -sample_increments(1, 1e-3, np.random.default_rng(9)).eta[0]
     assert np.allclose(g.wrap_displacement(got - pts), [shift, 0.0], atol=1e-13)
 
 
@@ -329,7 +343,8 @@ def test_salt_0form_is_stratonovich_transport_expansion():
             for p in range(2) for q in range(2)
         )
     )
-    expect = drift * d.dt - egradf * d.increments.eta[0]
+    eta = sample_increments(1, 1e-3, np.random.default_rng(10)).eta
+    expect = drift * d.dt - egradf * eta[0]
     assert np.abs(got.values - expect).max() < 1e-13
     # nested assembly (e.grad)(e.grad f) agrees with the split form at
     # truncation level only (discrete product rule is O(h^2))

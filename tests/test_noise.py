@@ -8,6 +8,7 @@ from stochmap.noise import (
     ModeSpec,
     NoiseBasis,
     build_fourier_basis,
+    fourier_mode_field,
     ito_drift_correction,
     sample_increments,
 )
@@ -161,3 +162,71 @@ def test_lu_incompressibility_pair_for_shear_modes():
             )
             acc += derivative(derivative(prod, p), q).values
     assert np.abs(acc).max() < 1e-13
+
+
+# --- coefficient tables of the scalar classes -------------------------------
+
+def _table_bases(dim):
+    # a mode that is a sum of two waves keeps the wedge and e div e - (e.grad)e
+    # nonzero (a plane wave zeroes both); each entry is one basis the
+    # operators read tables on
+    n = 32 if dim == 2 else 12
+    g = Grid((n,) * dim, (TWO_PI,) * dim)
+    k1, k2 = ((1, 1), (2, 0)) if dim == 2 else ((1, 1, 0), (0, 1, 2))
+    two_wave = (
+        fourier_mode_field(g, ModeSpec(k=k1, amplitude=(0.3, 0.2, 0.1)[:dim], solenoidal=False), "sin")
+        + fourier_mode_field(g, ModeSpec(k=k2, amplitude=(0.1, 0.25, 0.2)[:dim], solenoidal=False), "cos")
+    )
+    shear = fourier_mode_field(g, ModeSpec(k=k2, amplitude=(0.0, 0.2, 0.1)[:dim]), "sin")
+    forward = NoiseBasis(g, (two_wave, shear), VectorField.constant(g, (0.05, -0.02, 0.03)[:dim]))
+    drift_table = fourier_mode_field(g, ModeSpec(k=k1, amplitude=(0.04, 0.02, 0.01)[:dim], solenoidal=False), "cos")
+    return {
+        "forward": forward,
+        "inverse": forward.inverse,
+        "lu": forward.with_drift(ito_drift_correction(forward, 1.0)),
+        "drift_table": forward.with_drift(drift_table),
+    }
+
+
+def _reference_tables(basis):
+    """The tables recomputed mode by mode with `derivative`, no geometry."""
+    g, dim = basis.grid, basis.grid.dim
+    zero = ScalarField.zeros(g)
+    a = basis.drift.components
+    wedge, e_grad_div = zero, zero
+    e_div_e, self_adv = [zero] * dim, [zero] * dim
+    for mode in basis.modes:
+        e = mode.components
+        de = [[derivative(e[q], p) for q in range(dim)] for p in range(dim)]   # d_p e^q
+        dive = sum((de[p][p] for p in range(dim)), start=zero)
+        wedge = wedge + dive * dive
+        for p in range(dim):
+            e_grad_div = e_grad_div + e[p] * derivative(dive, p)
+            e_div_e[p] = e_div_e[p] + e[p] * dive
+            for q in range(dim):
+                wedge = wedge - de[p][q] * de[q][p]
+                self_adv[p] = self_adv[p] + e[q] * de[q][p]
+    volume = sum((derivative(a[p], p) for p in range(dim)), start=zero) + 0.5 * wedge
+    return {
+        "volume_drift": [volume],
+        "nvector_c0": [volume - e_grad_div],
+        "nvector_c1": [self_adv[p] - e_div_e[p] - a[p] for p in range(dim)],
+        "flux_velocity": [a[p] + 0.5 * (e_div_e[p] - self_adv[p]) for p in range(dim)],
+    }
+
+
+@pytest.mark.parametrize("kind", ["forward", "inverse", "lu", "drift_table"])
+@pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+def test_coefficient_tables_match_per_mode_recomputation(dim, kind):
+    basis = _table_bases(dim)[kind]
+    c0, c1 = basis.nvector_rows
+    got = {
+        "volume_drift": [basis.volume_drift],
+        "nvector_c0": [c0],
+        "nvector_c1": c1,
+        "flux_velocity": basis.flux_velocity,
+    }
+    for name, expect in _reference_tables(basis).items():
+        assert len(got[name]) == len(expect)
+        for table, ref in zip(got[name], expect):
+            assert np.abs(table - ref.values).max() < 1e-14, name
