@@ -2,8 +2,12 @@
 
 Centered second-order stencils throughout, all from the one periodic kernel
 `centered_difference` on raw arrays.  The kernel indexes its input and output
-with slice tuples precomputed per axis, so a call costs three
-`np.subtract`s and one division, with no axis reordering.  The
+with slice tuples precomputed per array axis, so a call costs three
+`np.subtract`s and one division, with no axis reordering.  A grid axis is
+counted from the trailing end of the array (array axis
+``v.ndim - grid.dim + axis``), so an array with leading member axes (see
+`grid`) is differenced member by member, with the bits of each member's own
+call.  The
 summation-by-parts identity
 
     sum_k u_k (D v)_k = -sum_k (D u)_k v_k
@@ -25,20 +29,23 @@ _CHUNK = 1 << 15  # points per interpolation chunk, bounds gather temporaries
 
 
 def _axis_slices(axis: int) -> tuple[tuple[slice, ...], ...]:
-    """Index tuples selecting, along ``axis``, the kernel's seven node ranges:
-    2:, :-2, 1:-1 (interior), 1:2, -1:, :1 (first node), -2:-1 (last node)."""
+    """Index tuples selecting, along array axis ``axis``, the kernel's seven
+    node ranges: 2:, :-2, 1:-1 (interior), 1:2, -1:, :1 (first node), -2:-1
+    (last node)."""
     lead = (slice(None),) * axis
     ranges = ((2, None), (None, -2), (1, -1), (1, 2), (-1, None), (None, 1), (-2, -1))
     return tuple(lead + (slice(*r),) for r in ranges)
 
 
-_SLICES = tuple(_axis_slices(axis) for axis in range(3))   # grids have 1 to 3 axes
+# grids have 1 to 3 axes, and arrays up to 3 leading member axes
+_SLICES = tuple(_axis_slices(axis) for axis in range(6))
 
 
 def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
-    """Periodic (v[k+1] - v[k-1]) / (2h) along ``axis`` of a raw array, by slices."""
+    """Periodic (v[k+1] - v[k-1]) / (2h) along grid axis ``axis`` of a raw
+    array, by slices; leading member axes ride along."""
     out = np.empty(v.shape)
-    up, down, inner, second, last, first, next_to_last = _SLICES[axis]
+    up, down, inner, second, last, first, next_to_last = _SLICES[v.ndim - grid.dim + axis]
     np.subtract(v[up], v[down], out=out[inner])
     np.subtract(v[second], v[last], out=out[first])
     np.subtract(v[first], v[next_to_last], out=out[last])

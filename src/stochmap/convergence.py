@@ -43,6 +43,9 @@ from .noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
 
 DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 TWO_PI = 2.0 * np.pi
+# grid points per array in `weak_advection_study`: its members are stepped in
+# batches of WEAK_BATCH_POINTS // grid points (4 at 64^2), one array per batch
+WEAK_BATCH_POINTS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +443,21 @@ def weak_advection_study(
     paths = matched_increment_ensemble(len(basis.modes), dt_fine, n_fine, n_levels,
                                        members, member_rng)
     unused_rng = np.random.default_rng(0)   # every step passes its increment
-    for k in range(len(paths)):
-        levels = paths[k]
+    batch = max(1, WEAK_BATCH_POINTS // g.n_points)
+    for first in range(0, members, batch):
+        batch_paths = paths[first:first + batch]
+        f_batch = ScalarField(g, np.broadcast_to(f0.values, (len(batch_paths),) + g.shape))
         for li, level in enumerate(range(n_levels - 1, -1, -1)):
-            etas = levels[level]
+            etas = np.stack([levels[level] for levels in batch_paths], axis=1)   # (steps, batch, m)
             dt = dt_fine * (1 << level)
-            state = {"f": f0}
+            state = {"f": f_batch}
             for step in range(etas.shape[0]):
                 inc = BrownianIncrements(dt=dt, eta=etas[step])
                 d = DiffeoIncrement(basis, inc, safety=4.0)
                 state = two_step_forecast(state, rhs, assignment, basis, dt,
                                           unused_rng, increment=d)
-            means[li] += state["f"].values
+            for member in state["f"].values:     # in member order, as one member at a time would
+                means[li] += member
     means = [m / members for m in means]
 
     # exact mean: per continuum Fourier mode, symbol -i u.k - (1/2) sum (e_i.k)^2

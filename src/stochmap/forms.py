@@ -63,7 +63,8 @@ import numpy as np
 from .calculus import centered_difference as _d
 from .calculus import derivative, sample_at
 from .grid import Array, Grid, ScalarField, TensorClass, VectorField
-from .maps import DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map
+from .maps import (DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map,
+                   require_single_member)
 
 Fieldish = Union[ScalarField, VectorField]
 
@@ -103,6 +104,7 @@ def _grad(v: Array, grid: Grid) -> list[Array]:
 
 
 def _hessian(grads: list[Array], grid: Grid) -> list[list[Array]]:
+    """d_p d_q as a symmetric nested list; hess[p][q] and hess[q][p] are one array."""
     dim = grid.dim
     hess: list[list[Array]] = [[None] * dim for _ in range(dim)]  # type: ignore[list-item]
     for p in range(dim):
@@ -121,19 +123,40 @@ def _dot(e: list[Array], grads: list[Array], start=0) -> Array:
 
 
 def _variance_quadratic(amat: list[list[Array]], hess: list[list[Array]]) -> Array:
-    """(1/2) A^{pq} d_p d_q f with A the basis's variance tensor (symmetric pairs folded)."""
-    acc = 0.0
+    """(1/2) A^{pq} d_p d_q f with A the basis's variance tensor (symmetric
+    pairs folded), summed from 0 over the upper triangle row by row.  It
+    forms the products in the arrays of ``hess``, which it consumes."""
+    acc = None
     for p in range(len(hess)):
-        acc = acc + 0.5 * amat[p][p] * hess[p][p]
-        for q in range(p + 1, len(hess)):
-            acc = acc + amat[p][q] * hess[p][q]
+        for q in range(p, len(hess)):
+            term = hess[p][q]
+            term *= 0.5 * amat[p][p] if q == p else amat[p][q]
+            acc = np.add(term, 0.0, out=term) if acc is None else np.add(acc, term, out=acc)
+    return acc
+
+
+def _dot_into(acc: Array | None, e: list[Array], grads: list[Array]) -> Array:
+    """``_dot(e, grads, acc)`` summed into ``acc``, an array the caller owns,
+    or from 0 into a new array when ``acc`` is None."""
+    term = None
+    for p in range(len(e)):
+        term = np.multiply(e[p], grads[p], out=term)
+        if acc is None:
+            acc, term = np.add(term, 0.0, out=term), None
+        else:
+            acc += term
     return acc
 
 
 def _assemble(grid: Grid, drift, noise, d: DiffeoIncrement) -> PerturbationResult:
     if isinstance(drift, list):
         return PerturbationResult(drift, noise, [dj * d.dt + nj for dj, nj in zip(drift, noise)], grid)
-    return PerturbationResult(drift, noise, drift * d.dt + noise, grid)
+    increment = drift * d.dt
+    if increment.shape == noise.shape:
+        increment += noise
+    else:                       # a drift shared by a batch of members
+        increment = increment + noise
+    return PerturbationResult(drift, noise, increment, grid)
 
 
 def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> PerturbationResult:
@@ -144,16 +167,35 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
 
     The terms are summed left to right from c0 f; c0 None (the 0-form) adds
     c1.grad f as one dot product after the quadratic term, and c1 None
-    leaves it out.
+    leaves it out.  The sums are formed in place, in arrays this call made
+    (the gradient's end up holding xi^p d_p f), with the operations and
+    order of the plain expressions, sums from 0 included, so the bits are
+    theirs: a fresh array per term makes the heap trim and regrow, which
+    costs page faults on every step of a batch.
     """
     grid, fv, xi = f.grid, f.values, d.noise_displacement
     grads = _grad(fv, grid)
     drift = _variance_quadratic(d.basis.geometry.amat, _hessian(grads, grid))
     if c0 is not None:
-        drift = _dot(c1, grads, c0 * fv + drift)
+        start = c0 * fv
+        start += drift
+        drift = _dot_into(start, c1, grads)
     elif c1 is not None:
-        drift = drift + _dot(c1, grads)
-    noise = _div(xi, grid) * fv + s1 * _dot(xi, grads) if s0 else s1 * _dot(xi, grads)
+        drift += _dot_into(None, c1, grads)
+    for p in range(grid.dim):
+        grads[p] *= xi[p]
+    noise = np.add(grads[0], 0.0, out=grads[0])     # xi.grad f, from 0
+    for p in range(1, grid.dim):
+        noise += grads[p]
+    if s0:
+        div_xi = _d(xi[0], 0, grid)
+        div_xi += 0.0
+        for p in range(1, grid.dim):
+            div_xi += _d(xi[p], p, grid)
+        div_xi *= fv
+        noise = np.add(div_xi, noise, out=div_xi) if s1 > 0 else np.subtract(div_xi, noise, out=div_xi)
+    elif s1 < 0:
+        np.negative(noise, out=noise)
     return _assemble(grid, drift, noise, d)
 
 
@@ -218,6 +260,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     grid = v.grid
     if grid.dim < 2:
         raise ValueError("1-form transport needs dim >= 2")
+    require_single_member(d, "perturb_1form")
     amat = d.basis.geometry.amat    # first, so it is not built while the arrays below are live
     a = [c.values for c in d.basis.drift.components]
     vv = [c.values for c in v.components]
@@ -318,6 +361,7 @@ def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
     n-vector:    (g o T^{-1}) (det J_T o T^{-1})
     mixed pair:  (n-form remap of f, n-vector remap of g)
     """
+    require_single_member(d, "oracle_remap")
     grid = d.grid
     pts = grid.points()
     if theta_class is TensorClass.ZERO_FORM:

@@ -4,6 +4,11 @@ Everything downstream assumes fields live on a uniform lattice over the
 n-torus (n = 1, 2 or 3).  Fields are immutable snapshots: operations return
 new fields and never mutate their inputs, so they are safe to evaluate from
 concurrent workers.
+
+A field's values may carry leading member axes in front of the grid axes
+(shape ``(..., *grid.shape)``): a batch of ensemble members stepped as one
+array, each member computed with the bits of its own single-member call.
+The grid axes are always the trailing ``grid.dim`` axes.
 """
 from __future__ import annotations
 
@@ -124,8 +129,8 @@ class ScalarField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
+        if vals.shape[-self.grid.dim:] != self.grid.shape:
+            raise ValueError(f"values shape {vals.shape} does not end in grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError("field values must be finite")
         object.__setattr__(self, "values", vals)

@@ -55,9 +55,12 @@ class DiffeoIncrement:
             )
         bound = 0.5 * self.basis.grid.min_spacing * self.safety
         worst = _max_displacement(self)
-        if worst >= bound:
+        over = worst >= bound
+        if over.any():
+            member = np.unravel_index(np.argmax(over), over.shape)   # the first failing member
+            where = f"member {', '.join(str(int(k)) for k in member)}: " if member else ""
             raise StepSizeError(
-                f"max displacement {worst:.3e} exceeds {bound:.3e} "
+                f"{where}max displacement {worst[member]:.3e} exceeds {bound:.3e} "
                 f"(= 0.5 * min spacing * safety {self.safety}); reduce dt or the noise amplitude"
             )
 
@@ -69,13 +72,23 @@ class DiffeoIncrement:
     def grid(self):
         return self.basis.grid
 
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.increments.batch_shape
+
     @cached_property
     def noise_displacement(self) -> list[Array]:
-        """xi^p = sum_i eta_i e_i^p at the nodes, one array per axis (zeros without modes)."""
-        xi = [np.zeros(self.grid.shape) for _ in range(self.grid.dim)]
-        for e, eta in zip(self.basis.modes, self.increments.eta):
+        """xi^p = sum_i eta_i e_i^p at the nodes, one array per axis (zeros
+        without modes), summed in mode order; shape (..., *grid.shape) for
+        eta of shape (..., m)."""
+        eta = self.increments.eta
+        shape = self.batch_shape + self.grid.shape
+        xi = [np.zeros(shape) for _ in range(self.grid.dim)]
+        term = np.empty(shape)
+        for i, e in enumerate(self.basis.modes):
+            eta_i = eta[..., i].reshape(self.batch_shape + (1,) * self.grid.dim)
             for p in range(self.grid.dim):
-                xi[p] += e.components[p].values * float(eta)
+                xi[p] += np.multiply(e.components[p].values, eta_i, out=term)
         return xi
 
 
@@ -84,9 +97,22 @@ def _displacement_arrays(d: DiffeoIncrement) -> list[np.ndarray]:
     return [c.values * d.dt + xi for c, xi in zip(d.basis.drift.components, d.noise_displacement)]
 
 
-def _max_displacement(d: DiffeoIncrement) -> float:
+def _max_displacement(d: DiffeoIncrement) -> Array:
+    """Per member, the max over nodes of |a dt + xi|: the max of the squared
+    norm, then one sqrt, which equals the max of the norms bit for bit (sqrt
+    is monotone and correctly rounded)."""
     comps = _displacement_arrays(d)
-    return float(np.sqrt(sum(c**2 for c in comps)).max())
+    squared = np.multiply(comps[0], comps[0], out=comps[0])
+    for c in comps[1:]:
+        squared += np.multiply(c, c, out=c)
+    grid_axes = tuple(range(-d.grid.dim, 0))
+    return np.sqrt(squared.max(axis=grid_axes))
+
+
+def require_single_member(d: DiffeoIncrement, what: str) -> None:
+    """Raise ValueError naming ``what`` if ``d`` is batched over members."""
+    if d.batch_shape:
+        raise ValueError(f"{what} takes one member; got an increment batched over {d.batch_shape}")
 
 
 def displacement_field(d: DiffeoIncrement) -> VectorField:
@@ -102,6 +128,7 @@ def forward_map(d: DiffeoIncrement, points: Array) -> Array:
     interpolation is linear in the node values, so this is the map of the
     interpolated drift and modes.
     """
+    require_single_member(d, "forward_map")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     return d.grid.wrap(pts + sample_vector_at(displacement_field(d), pts))
 

@@ -22,7 +22,7 @@ from .forms import (
     perturb_nform,
     pushforward_nvector,
 )
-from .grid import Grid, ScalarField, TensorClass, VectorField, named_field
+from .grid import Array, Grid, ScalarField, TensorClass, VectorField, named_field
 from .maps import DiffeoIncrement, inverse_increment, make_increment
 from .noise import BrownianIncrements, NoiseBasis, ito_drift_correction, sample_increments
 
@@ -77,17 +77,26 @@ def apply_increment(field: Fieldish, tensor_class: TensorClass, d: DiffeoIncreme
         increment = pushforward_nvector(field, inverse_increment(d)).increment
     else:
         raise ValueError(f"no perturbation rule for tensor class {tensor_class}")
+    # the increment's arrays are this call's own: the sum is formed in them
     if isinstance(field, VectorField):
-        return VectorField.from_arrays(field.grid, [c.values + i for c, i in zip(field.components, increment)])
-    return field.with_values(field.values + increment)
+        return VectorField.from_arrays(field.grid, [_add_into(i, c.values) for c, i in zip(field.components, increment)])
+    return field.with_values(_add_into(increment, field.values))
+
+
+def _add_into(owned: Array, other: Array) -> Array:
+    """``other + owned``, formed in ``owned`` when the two have one shape."""
+    if owned.shape == other.shape:
+        owned += other
+        return owned
+    return other + owned
 
 
 def _euler(field: Fieldish, update: Fieldish, dt: float) -> Fieldish:
     """``field + update * dt`` on raw arrays, wrapped once."""
     if isinstance(field, VectorField):
         return VectorField.from_arrays(
-            field.grid, [c.values + u.values * dt for c, u in zip(field.components, update.components)])
-    return field.with_values(field.values + update.values * dt)
+            field.grid, [_add_into(u.values * dt, c.values) for c, u in zip(field.components, update.components)])
+    return field.with_values(_add_into(update.values * dt, field.values))
 
 
 def two_step_forecast(
@@ -116,6 +125,9 @@ def two_step_forecast(
         for k, field in state.items():
             if k in upd:
                 tilde[k] = named_field(k, _euler, field, upd[k], dt)
+        # dropped before the perturbation allocates: freed together with its
+        # temporaries, the rhs's arrays let the heap shrink and regrow each step
+        del upd
     if basis.is_null and increment is None:
         return tilde
     d = increment if increment is not None else make_increment(basis, dt, rng, safety)
@@ -130,12 +142,15 @@ def advection_diffusion_rhs(f: ScalarField, u_adv: VectorField, diffusivity: flo
     """-u.grad f + D laplace f."""
     if diffusivity < 0:
         raise ValueError(f"diffusivity must be nonnegative, got {diffusivity}")
-    out = np.zeros(f.grid.shape)
+    out = np.zeros(f.values.shape)
     for p in range(f.grid.dim):
         df = _d(f.values, p, f.grid)
-        out -= u_adv.components[p].values * df
+        laplace_p = _d(df, p, f.grid) if diffusivity else None
+        df *= u_adv.components[p].values
+        out -= df
         if diffusivity:
-            out += diffusivity * _d(df, p, f.grid)
+            laplace_p *= diffusivity
+            out += laplace_p
     return f.with_values(out)
 
 
@@ -151,9 +166,10 @@ def lu_basis(basis: NoiseBasis) -> NoiseBasis:
 def salt_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator,
                    safety: float = 1.0) -> DiffeoIncrement:
     """Map increment in the Stratonovich transport convention:
-    drift (1/2)(e.grad)e, noise sign flipped (the same modes, eta negated)."""
-    half = basis.with_drift(ito_drift_correction(basis, 0.5))
-    return DiffeoIncrement(half, BrownianIncrements(dt, -sample_increments(basis.n_modes, dt, rng).eta), safety)
+    drift (1/2)(e.grad)e, noise sign flipped (the same modes, eta negated).
+    Its basis, `NoiseBasis.salt_basis`, is built once per basis."""
+    eta = -sample_increments(basis.n_modes, dt, rng).eta
+    return DiffeoIncrement(basis.salt_basis, BrownianIncrements(dt, eta), safety)
 
 
 def lu_discrepancy_0form(d: DiffeoIncrement, f: ScalarField) -> float:

@@ -107,6 +107,13 @@ class NoiseBasis:
         other.__dict__["geometry"] = self.geometry
         return other
 
+    @cached_property
+    def salt_basis(self) -> "NoiseBasis":
+        """The same modes with the Stratonovich drift (1/2) sum_i (e_i . grad) e_i,
+        built once per basis (`models.salt_increment`).  It holds no reference
+        back to this basis, so it dies with it."""
+        return self.with_drift(ito_drift_correction(self, 0.5))
+
     @property
     def inverse(self) -> "NoiseBasis":
         """Basis of the inverse map, built once per basis: the same modes with
@@ -128,15 +135,23 @@ class NoiseBasis:
     def volume_drift(self) -> Array:
         """div a + (1/2) sum_i J_i: the volume multiplier's drift and the
         pointwise n-form's c0."""
+        return self._volume_drift()
+
+    def _volume_drift(self) -> Array:
         div_a = sum(centered_difference(c.values, p, self.grid) for p, c in enumerate(self.drift.components))
         return div_a + 0.5 * self.geometry.wedge
 
     @cached_property
     def nvector_rows(self) -> tuple[Array, list[Array]]:
         """The n-vector's (c0, c1): div a + (1/2) sum_i J_i - sum_i (e_i . grad)(div e_i)
-        and sum_i (e_i . grad) e_i - sum_i e_i div e_i - a."""
+        and sum_i (e_i . grad) e_i - sum_i e_i div e_i - a.  c0 reads
+        `volume_drift` if the basis holds it and does not cache it otherwise:
+        a TSW run's inverse basis reads only these rows."""
         geo = self.geometry
-        return (self.volume_drift - geo.e_grad_div,
+        volume_drift = self.__dict__.get("volume_drift")
+        if volume_drift is None:
+            volume_drift = self._volume_drift()
+        return (volume_drift - geo.e_grad_div,
                 [sa - ede - c.values for sa, ede, c in zip(geo.self_adv, geo.e_div_e, self.drift.components)])
 
     @cached_property
@@ -189,7 +204,10 @@ class BasisGeometry:
 
 @dataclass(frozen=True)
 class BrownianIncrements:
-    """One draw of the mode increments: dt plus eta_i ~ N(0, dt)."""
+    """One draw of the mode increments: dt plus eta_i ~ N(0, dt).
+
+    ``eta`` has shape (..., m): its leading axes, if any, are member axes,
+    one draw per member of a batch stepped as one array (see `grid`)."""
 
     dt: float
     eta: Array
@@ -197,12 +215,17 @@ class BrownianIncrements:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        eta = np.asarray(self.eta, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "eta", eta)
+        eta = np.asarray(self.eta, dtype=np.float64)
+        object.__setattr__(self, "eta", eta.reshape(1) if eta.ndim == 0 else eta)
 
     @property
     def n_modes(self) -> int:
-        return self.eta.shape[0]
+        return self.eta.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """The member axes: () for a single draw."""
+        return self.eta.shape[:-1]
 
 
 def modified_wavevector(grid: Grid, k: Sequence[int]) -> Array:

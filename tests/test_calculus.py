@@ -82,6 +82,18 @@ def test_centered_difference_equals_shifted_copy_formula(shape):
         assert np.array_equal(centered_difference(v, axis, g), ref)
 
 
+@pytest.mark.parametrize("shape", [(16,), (8, 12), (6, 8, 10)], ids=["1d", "2d", "3d"])
+def test_centered_difference_of_a_member_stack_is_per_member(shape):
+    # a leading member axis: the grid axes are the trailing ones, and each
+    # member gets the bits of its own call
+    stack = np.random.default_rng(7).standard_normal((3,) + shape)
+    g = Grid(shape, tuple(1.0 + 0.5 * p for p in range(len(shape))))
+    for axis in range(len(shape)):
+        got = centered_difference(stack, axis, g)
+        for k in range(3):
+            assert np.array_equal(got[k], centered_difference(stack[k], axis, g))
+
+
 def test_derivative_linearity():
     rng = np.random.default_rng(0)
     g = grid2(32)

@@ -12,7 +12,7 @@ from stochmap.noise import (
     jacobian_wedge,
     mode_gradient,
 )
-from stochmap.maps import DiffeoIncrement, inverse_increment, inverse_map, make_increment
+from stochmap.maps import DiffeoIncrement, forward_map, inverse_increment, inverse_map, make_increment
 from stochmap.forms import (
     NFormMode,
     oracle_remap,
@@ -310,6 +310,22 @@ def test_1form_requires_two_dimensions():
     d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.zeros(0)))
     with pytest.raises(ValueError):
         perturb_1form(VectorField.constant(g, (1.0,)), d)
+
+
+def test_single_member_operators_reject_a_batched_increment():
+    # the 1-form, the map and the remap oracle take one member at a time
+    g = grid2(16)
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.1, 0.05), solenoidal=False)])
+    d = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full((2, 1), 0.01)))
+    f = smooth(g, lambda x, y: 1.0 + 0.2 * np.sin(x))
+    with pytest.raises(ValueError, match=r"perturb_1form takes one member; .* batched over \(2,\)"):
+        perturb_1form(VectorField(g, (f, f)), d)
+    with pytest.raises(ValueError, match="forward_map takes one member"):
+        forward_map(d, g.points())
+    with pytest.raises(ValueError, match="forward_map takes one member"):
+        inverse_map(d, g.points())
+    with pytest.raises(ValueError, match="oracle_remap takes one member"):
+        oracle_remap(TensorClass.ZERO_FORM, f, d)
 
 
 # --- n-vector ---------------------------------------------------------------

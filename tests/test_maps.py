@@ -1,5 +1,6 @@
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,32 @@ def test_displacement_bound_enforced():
         DiffeoIncrement(basis, BrownianIncrements(dt=0.1, eta=np.zeros(0)))
     # a larger safety factor admits the same displacement
     DiffeoIncrement(basis, BrownianIncrements(dt=0.04, eta=np.zeros(0)), safety=2.0)
+
+
+def test_batched_guard_fails_iff_a_member_fails_and_names_it():
+    # one compressive mode; members draw around the bound 0.5 * (2 pi / 32)
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(1.0, 0.5), solenoidal=False)])
+    rng = np.random.default_rng(11)
+    failed = 0
+    for _ in range(30):
+        eta = rng.uniform(-0.12, 0.12, size=(3, 1))
+        errors = []
+        for member in eta:
+            try:
+                DiffeoIncrement(basis, BrownianIncrements(1e-3, member))
+                errors.append(None)
+            except StepSizeError as err:
+                errors.append(str(err))
+        first = next((k for k, e in enumerate(errors) if e is not None), None)
+        if first is None:
+            DiffeoIncrement(basis, BrownianIncrements(1e-3, eta))
+            continue
+        failed += 1
+        with pytest.raises(StepSizeError) as batch_err:
+            DiffeoIncrement(basis, BrownianIncrements(1e-3, eta))
+        assert str(batch_err.value) == f"member {first}: {errors[first]}"
+    assert 0 < failed < 30
 
 
 def test_constant_mode_inverse_is_exact():
@@ -180,6 +207,27 @@ def test_basis_and_its_inverse_form_no_reference_cycle():
         assert inverse() is None
     finally:
         gc.enable()
+
+
+def test_nvector_rows_leave_the_inverse_without_a_volume_drift():
+    # a TSW step reads the inverse basis's n-vector rows only; building them
+    # must not cache the volume drift there, and c0 keeps its bits
+    from stochmap.config import load_config
+    from stochmap.models import tsw_spde_step
+    from stochmap.runner_support import build_basis, tsw_initial_state, tsw_params
+
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "tsw.cfg")
+    grid = config.make_grid()
+    basis = build_basis(grid, config)
+    state = tsw_initial_state(grid, config, np.random.default_rng(config.seed + 1000))
+    rng = np.random.default_rng(config.seed)
+    for _ in range(3):
+        state = tsw_spde_step(state, tsw_params(config), basis, config.dt, rng, safety=config.safety)
+    assert "nvector_rows" in basis.inverse.__dict__
+    assert "volume_drift" not in basis.inverse.__dict__
+    twin = basis.inverse.with_drift(basis.inverse.drift)
+    assert np.array_equal(twin.volume_drift - twin.geometry.e_grad_div, basis.inverse.nvector_rows[0])
+    assert np.array_equal(twin.nvector_rows[0], basis.inverse.nvector_rows[0])
 
 
 def test_composition_residual_positive_for_varying_modes():

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from stochmap.grid import Grid, NonFiniteError, ScalarField, TensorClass, VectorField
 from stochmap.calculus import derivative, integrate
 from stochmap.noise import (
+    BrownianIncrements,
     ModeSpec,
     NoiseBasis,
     build_fourier_basis,
@@ -11,7 +15,7 @@ from stochmap.noise import (
     ito_drift_correction,
     sample_increments,
 )
-from stochmap.maps import forward_map, inverse_increment, make_increment
+from stochmap.maps import DiffeoIncrement, forward_map, inverse_increment, make_increment
 from stochmap.forms import NFormMode, perturb_0form, perturb_1form, perturb_nform, pushforward_nvector
 from stochmap.models import (
     PositivityError,
@@ -19,6 +23,7 @@ from stochmap.models import (
     TSWParams,
     TSWState,
     advection_diffusion_rhs,
+    apply_increment,
     check_stability,
     lu_basis,
     lu_correspondence_check,
@@ -104,6 +109,53 @@ def test_forecast_noise_coefficients_use_post_euler_field():
     tilde = f + bump * 1e-3
     expect = tilde + perturb_0form(tilde, d).realized
     assert np.array_equal(out["f"].values, expect.values)
+
+
+@pytest.mark.parametrize("tensor_class, nform_mode, with_rhs", [
+    (TensorClass.ZERO_FORM, NFormMode.FLUX, True),
+    (TensorClass.N_FORM, NFormMode.FLUX, False),
+    (TensorClass.N_FORM, NFormMode.POINTWISE, False),
+    (TensorClass.N_VECTOR, NFormMode.FLUX, False),
+], ids=["0form_rhs", "nform_flux", "nform_pointwise", "nvector"])
+def test_forecast_of_a_member_batch_equals_its_members_one_by_one(tensor_class, nform_mode, with_rhs):
+    # three members stacked on a leading axis, each with its own draw, keep
+    # the bits of three single-member forecasts over three steps
+    g = grid2(32)
+    basis = lu_basis(two_wave_basis(g))
+    u = VectorField.constant(g, (0.7, -0.3))
+    rhs = (lambda s: {"f": advection_diffusion_rhs(s["f"], u, 0.01)}) if with_rhs else None
+    members = [smooth(g, lambda x, y, k=k: 1.0 + 0.3 * np.sin(x + k) * np.cos(y)) for k in range(3)]
+    etas = np.random.default_rng(4).normal(0.0, np.sqrt(1e-3), size=(3, 3, basis.n_modes))  # (step, member, m)
+
+    def forecast(state, eta):
+        d = DiffeoIncrement(basis, BrownianIncrements(1e-3, eta))
+        return two_step_forecast(state, rhs, {"f": tensor_class}, basis, 1e-3, np.random.default_rng(0),
+                                 nform_mode=nform_mode, increment=d)
+
+    batch = {"f": ScalarField(g, np.stack([f.values for f in members]))}
+    for eta in etas:
+        batch = forecast(batch, eta)
+    for k, f in enumerate(members):
+        one = {"f": f}
+        for eta in etas:
+            one = forecast(one, eta[k])
+        assert np.array_equal(batch["f"].values[k], one["f"].values)
+
+
+@pytest.mark.parametrize("tensor_class", [TensorClass.ZERO_FORM, TensorClass.N_FORM, TensorClass.N_VECTOR])
+def test_forecast_leaves_its_input_state_unchanged(tensor_class):
+    # the step forms its sums in arrays of its own; an rhs that hands back
+    # the state's own field must not see it overwritten
+    g = grid2(32)
+    basis = lu_basis(two_wave_basis(g))
+    f = smooth(g, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(y))
+    before = f.values.copy()
+    d = make_increment(basis, 1e-3, np.random.default_rng(6))
+    out = two_step_forecast({"f": f}, lambda s: {"f": s["f"]}, {"f": tensor_class}, basis, 1e-3,
+                            np.random.default_rng(0), increment=d)
+    assert np.array_equal(f.values, before)
+    tilde = f + f * 1e-3
+    assert np.array_equal(out["f"].values, apply_increment(tilde, tensor_class, d).values)
 
 
 def vector_0form_realized(v, d):
@@ -307,6 +359,26 @@ def test_salt_increment_drift_and_noise_sign():
         assert np.array_equal(2.0 * half.components[p].values, full.components[p].values)
         for e_s, eta_s, e, eta_i in zip(d.basis.modes, d.increments.eta, basis.modes, eta):
             assert np.array_equal(e_s.components[p].values * eta_s, -e.components[p].values * eta_i)
+
+
+def test_salt_basis_is_built_once_per_basis_and_dies_with_it():
+    g = grid2(32)
+    basis = three_mode_basis(g)
+    rng = np.random.default_rng(8)
+    first, second = salt_increment(basis, 1e-3, rng), salt_increment(basis, 1e-3, rng)
+    assert first.basis is second.basis
+    # the bits of a basis built on every call
+    rebuilt = basis.with_drift(ito_drift_correction(basis, 0.5))
+    for p in range(2):
+        assert np.array_equal(first.basis.drift.components[p].values, rebuilt.drift.components[p].values)
+    salt = weakref.ref(first.basis)
+    del first, second
+    gc.disable()
+    try:
+        del basis
+        assert salt() is None
+    finally:
+        gc.enable()
 
 
 def test_salt_constant_mode_is_pure_shift():
