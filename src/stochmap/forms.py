@@ -27,7 +27,10 @@ realised increment drift*dt + noise, computed once (a list of dim arrays per
 1-form part).  The realised increment as a field, `realized`, is built on
 first read: a forecast step adds the raw increment to its state variable and
 wraps the sum once.  Every stencil goes through the one periodic kernel
-`calculus.centered_difference`.
+`calculus.centered_difference`.  The scalar classes and the flux n-form
+also take a batch of members, a field with a leading member axis under an
+increment batched the same way (see `grid` and `maps`), and give each member
+the bits of its own call; the 1-form and `oracle_remap` take one member.
 
 The scalar classes share one increment form, assembled by `_scalar`:
 

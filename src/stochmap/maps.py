@@ -16,6 +16,14 @@ modes (`NoiseBasis.geometry`).
 The random part reaches the guard, the map and every operator's noise term
 through one field, the noise displacement xi = sum_i eta_i e_i at the nodes
 (`DiffeoIncrement.noise_displacement`), summed once per increment.
+
+An increment may carry a batch of members: eta of shape (..., m) gives xi of
+shape (..., *grid.shape), summed mode by mode in the same order as for one
+member.  The step-size guard then checks each member on its own: per member,
+the max over nodes of the squared displacement norm, then one sqrt, equal to
+the max of the norms bit for bit.  It fails iff some member's own guard
+would fail, and its message names the first such member.  The node-by-node
+map (`forward_map`, and so `inverse_map`) takes one member at a time.
 """
 from __future__ import annotations
 

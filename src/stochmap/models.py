@@ -118,6 +118,12 @@ def two_step_forecast(
     (used by the correspondence tests); the rng is untouched in that case.
     Each state variable is wrapped, and so scanned for finiteness, once after
     its Euler update and once after its perturbation; a blow-up names it.
+
+    The state's fields may carry a leading member axis, with an increment
+    whose eta has shape (members, m) (see `grid` and `maps`); each member
+    then gets the bits of its own step.  The 1-form takes one member.  The
+    step forms its sums in arrays it made and never writes into the state's
+    or the rhs's fields.
     """
     tilde = dict(state)
     if rhs is not None:

@@ -12,7 +12,8 @@ The inverse basis is one of those: same modes, drift sum_i (e_i . grad) e_i - a,
 driven by negated eta.  From the geometry and the drift, each basis builds on
 first read the step-invariant coefficient tables of the scalar tensor classes
 (`volume_drift`, `nvector_rows`, `flux_velocity`), which the one scalar
-assembler in `forms` reads.
+assembler in `forms` reads.  The SALT map's basis, the same modes with half
+that drift, is built once per basis too (`salt_basis`).
 
 Divergence-free means divergence-free *for the discrete operator*: wave
 amplitudes are projected orthogonal to the modified wavevector
