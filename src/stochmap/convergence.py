@@ -50,8 +50,10 @@ from .noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
 DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 TWO_PI = 2.0 * np.pi
 # grid points per array in `weak_advection_study`, whose members are stepped in
-# batches of WEAK_BATCH_POINTS // grid points (4 at 64^2).  Bigger batches ran
-# no faster and cost memory: 8 members at 64^2 raised peak RSS by 6 %.
+# batches of WEAK_BATCH_POINTS // grid points (4 at 64^2).  Every array of a
+# step grows with the batch: at 8 members the weak_mean benchmark ran a few
+# per cent faster than at 4, but its peak RSS rose 5.4 % over one member at a
+# time, past the benchmark's 5 % bound (2-core VM, numpy 2.4).
 WEAK_BATCH_POINTS = 1 << 14
 
 

@@ -61,7 +61,7 @@ def build_basis(grid: Grid, config: RunConfig) -> NoiseBasis:
     if config.drift == "lu":
         return base.with_drift(ito_drift_correction(base, 1.0))
     if config.drift == "salt":
-        return base.with_drift(ito_drift_correction(base, 0.5))
+        return base.salt_basis
     field = VectorField.zeros(grid)
     for mode in build_fourier_basis(grid, config.drift).modes:
         field = field + mode
