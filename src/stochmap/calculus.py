@@ -5,10 +5,9 @@ Centered second-order stencils throughout, all from the one periodic kernel
 with slice tuples precomputed per array axis, so a call costs three
 `np.subtract`s and one division, with no axis reordering.  A grid axis is
 counted from the trailing end of the array (array axis
-``v.ndim - grid.dim + axis``), so an array with leading member axes (see
+``v.ndim - grid.dim + axis``), so an array with a leading member axis (see
 `grid`) is differenced member by member, with the bits of each member's own
-call.  The
-summation-by-parts identity
+call.  The summation-by-parts identity
 
     sum_k u_k (D v)_k = -sum_k (D u)_k v_k
 
@@ -37,13 +36,13 @@ def _axis_slices(axis: int) -> tuple[tuple[slice, ...], ...]:
     return tuple(lead + (slice(*r),) for r in ranges)
 
 
-# grids have 1 to 3 axes, and arrays up to 3 leading member axes
-_SLICES = tuple(_axis_slices(axis) for axis in range(6))
+# grids have 1 to 3 axes, and arrays at most one leading member axis
+_SLICES = tuple(_axis_slices(axis) for axis in range(4))
 
 
 def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
     """Periodic (v[k+1] - v[k-1]) / (2h) along grid axis ``axis`` of a raw
-    array, by slices; leading member axes ride along."""
+    array, by slices; a leading member axis rides along."""
     out = np.empty(v.shape)
     up, down, inner, second, last, first, next_to_last = _SLICES[v.ndim - grid.dim + axis]
     np.subtract(v[up], v[down], out=out[inner])
@@ -96,6 +95,7 @@ def curl(v: VectorField):
 
 def integrate(f: ScalarField) -> float:
     """Domain integral: node sum times cell volume (exact trapezoid on the torus)."""
+    f.require_single_member("integrate")
     return float(f.values.sum() * f.grid.cell_volume)
 
 
@@ -129,6 +129,7 @@ def sample_at(f: ScalarField, points: Array) -> Array:
 
     ``points`` has shape (N, dim); returns shape (N,).
     """
+    f.require_single_member("sample_at")
     grid = f.grid
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[-1] != grid.dim:

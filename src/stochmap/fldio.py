@@ -14,6 +14,7 @@ from .grid import Grid, ScalarField
 
 
 def write_field(path: str | Path, f: ScalarField) -> None:
+    f.require_single_member("write_field")
     grid = f.grid
     header = (
         f"{grid.dim}\n"

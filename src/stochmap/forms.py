@@ -30,7 +30,8 @@ wraps the sum once.  Every stencil goes through the one periodic kernel
 `calculus.centered_difference`.  The scalar classes and the flux n-form
 also take a batch of members, a field with a leading member axis under an
 increment batched the same way (see `grid` and `maps`), and give each member
-the bits of its own call; the 1-form and `oracle_remap` take one member.
+the bits of its own call; the 1-form, the volume multiplier and
+`oracle_remap` take one member.
 
 The scalar classes share one increment form, assembled by `_scalar`:
 
@@ -155,10 +156,7 @@ def _assemble(grid: Grid, drift, noise, d: DiffeoIncrement) -> PerturbationResul
     if isinstance(drift, list):
         return PerturbationResult(drift, noise, [dj * d.dt + nj for dj, nj in zip(drift, noise)], grid)
     increment = drift * d.dt
-    if increment.shape == noise.shape:
-        increment += noise
-    else:                       # a drift shared by a batch of members
-        increment = increment + noise
+    increment += noise
     return PerturbationResult(drift, noise, increment, grid)
 
 
@@ -223,6 +221,7 @@ def perturb_volume_multiplier(d: DiffeoIncrement) -> PerturbationResult:
     it vanishes identically when the basis satisfies the incompressibility
     pair div e_i = 0 and d_p d_q (sum_i e_i^p e_i^q) = 0.
     """
+    require_single_member(d, "perturb_volume_multiplier")
     return _assemble(d.grid, d.basis.volume_drift.copy(), _div(d.noise_displacement, d.grid), d)
 
 
@@ -264,6 +263,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     if grid.dim < 2:
         raise ValueError("1-form transport needs dim >= 2")
     require_single_member(d, "perturb_1form")
+    v.components[0].require_single_member("perturb_1form")
     amat = d.basis.geometry.amat    # first, so it is not built while the arrays below are live
     a = [c.values for c in d.basis.drift.components]
     vv = [c.values for c in v.components]

@@ -5,10 +5,12 @@ n-torus (n = 1, 2 or 3).  Fields are immutable snapshots: operations return
 new fields and never mutate their inputs, so they are safe to evaluate from
 concurrent workers.
 
-A field's values may carry leading member axes in front of the grid axes
-(shape ``(..., *grid.shape)``): a batch of ensemble members stepped as one
-array, each member computed with the bits of its own single-member call.
-The grid axes are always the trailing ``grid.dim`` axes.
+A field's values may carry one leading member axis in front of the grid
+axes (shape ``(members, *grid.shape)``): a batch of ensemble members stepped
+as one array, each member computed with the bits of its own single-member
+call.  What measures or writes one field (`min`, `max`, `calculus.integrate`,
+`calculus.sample_at`, `fldio.write_field`) takes one member and raises
+ValueError on a batch (`ScalarField.require_single_member`).
 """
 from __future__ import annotations
 
@@ -129,8 +131,9 @@ class ScalarField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape[-self.grid.dim:] != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} does not end in grid shape {self.grid.shape}")
+        if vals.ndim not in (self.grid.dim, self.grid.dim + 1) or vals.shape[-self.grid.dim:] != self.grid.shape:
+            raise ValueError(f"values shape {vals.shape} is not grid shape {self.grid.shape}"
+                             " with at most one leading member axis")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError("field values must be finite")
         object.__setattr__(self, "values", vals)
@@ -150,6 +153,16 @@ class ScalarField:
 
     def with_values(self, values: Array) -> "ScalarField":
         return ScalarField(self.grid, values)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """The member axis: () for one member, (members,) for a batch."""
+        return self.values.shape[:-self.grid.dim]
+
+    def require_single_member(self, what: str) -> None:
+        """Raise ValueError naming ``what`` if the field is a batch of members."""
+        if self.batch_shape:
+            raise ValueError(f"{what} takes one member; got a field batched over {self.batch_shape}")
 
     # small arithmetic surface: enough to assemble right-hand sides and tests
     def __add__(self, other):
@@ -175,9 +188,11 @@ class ScalarField:
         return self.with_values(-self.values)
 
     def min(self) -> float:
+        self.require_single_member("ScalarField.min")
         return float(self.values.min())
 
     def max(self) -> float:
+        self.require_single_member("ScalarField.max")
         return float(self.values.max())
 
 

@@ -17,8 +17,8 @@ The random part reaches the guard, the map and every operator's noise term
 through one field, the noise displacement xi = sum_i eta_i e_i at the nodes
 (`DiffeoIncrement.noise_displacement`), summed once per increment.
 
-An increment may carry a batch of members: eta of shape (..., m) gives xi of
-shape (..., *grid.shape), summed mode by mode in the same order as for one
+An increment may carry a batch of members: eta of shape (members, m) gives
+xi of shape (members, *grid.shape), summed mode by mode in the same order as for one
 member.  The step-size guard then checks each member on its own: per member,
 the max over nodes of the squared displacement norm, then one sqrt, equal to
 the max of the norms bit for bit.  It fails iff some member's own guard
@@ -62,11 +62,11 @@ class DiffeoIncrement:
                 f"{self.increments.n_modes} increments for {self.basis.n_modes} modes"
             )
         bound = 0.5 * self.basis.grid.min_spacing * self.safety
-        worst = _max_displacement(self)
+        worst = _max_displacement(self).reshape(-1)   # one entry per member
         over = worst >= bound
         if over.any():
-            member = np.unravel_index(np.argmax(over), over.shape)   # the first failing member
-            where = f"member {', '.join(str(int(k)) for k in member)}: " if member else ""
+            member = int(np.argmax(over))   # the first failing member
+            where = f"member {member}: " if self.batch_shape else ""
             raise StepSizeError(
                 f"{where}max displacement {worst[member]:.3e} exceeds {bound:.3e} "
                 f"(= 0.5 * min spacing * safety {self.safety}); reduce dt or the noise amplitude"
@@ -87,8 +87,8 @@ class DiffeoIncrement:
     @cached_property
     def noise_displacement(self) -> list[Array]:
         """xi^p = sum_i eta_i e_i^p at the nodes, one array per axis (zeros
-        without modes), summed in mode order; shape (..., *grid.shape) for
-        eta of shape (..., m)."""
+        without modes), summed in mode order; shape (members, *grid.shape)
+        for eta of shape (members, m)."""
         eta = self.increments.eta
         shape = self.batch_shape + self.grid.shape
         xi = [np.zeros(shape) for _ in range(self.grid.dim)]

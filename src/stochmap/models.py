@@ -63,8 +63,12 @@ def apply_increment(field: Fieldish, tensor_class: TensorClass, d: DiffeoIncreme
 
     N_VECTOR rides the inverse increment (the pairing-preserving transport
     used for mixed covariant/variant state); the forward-map transport is
-    available directly through forms.pushforward_nvector.
+    available directly through forms.pushforward_nvector.  The field and the
+    increment carry the same member axis, or neither carries one.
     """
+    parts = field.components if isinstance(field, VectorField) else (field,)
+    if any(part.batch_shape != d.batch_shape for part in parts):
+        raise ValueError(f"field batched over {parts[0].batch_shape} but increment over {d.batch_shape}")
     if tensor_class is TensorClass.ZERO_FORM and isinstance(field, VectorField):
         increment = [perturb_0form(c, d).increment for c in field.components]
     elif tensor_class is TensorClass.ZERO_FORM:
@@ -84,11 +88,9 @@ def apply_increment(field: Fieldish, tensor_class: TensorClass, d: DiffeoIncreme
 
 
 def _add_into(owned: Array, other: Array) -> Array:
-    """``other + owned``, formed in ``owned`` when the two have one shape."""
-    if owned.shape == other.shape:
-        owned += other
-        return owned
-    return other + owned
+    """``other + owned``, formed in ``owned``, an array of the caller's own."""
+    owned += other
+    return owned
 
 
 def _euler(field: Fieldish, update: Fieldish, dt: float) -> Fieldish:

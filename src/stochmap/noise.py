@@ -145,14 +145,11 @@ class NoiseBasis:
     @cached_property
     def nvector_rows(self) -> tuple[Array, list[Array]]:
         """The n-vector's (c0, c1): div a + (1/2) sum_i J_i - sum_i (e_i . grad)(div e_i)
-        and sum_i (e_i . grad) e_i - sum_i e_i div e_i - a.  c0 reads
-        `volume_drift` if the basis holds it and does not cache it otherwise:
-        a TSW run's inverse basis reads only these rows."""
+        and sum_i (e_i . grad) e_i - sum_i e_i div e_i - a.  c0 forms div a +
+        (1/2) sum_i J_i without caching it as `volume_drift`: a TSW run's
+        inverse basis reads only these rows."""
         geo = self.geometry
-        volume_drift = self.__dict__.get("volume_drift")
-        if volume_drift is None:
-            volume_drift = self._volume_drift()
-        return (volume_drift - geo.e_grad_div,
+        return (self._volume_drift() - geo.e_grad_div,
                 [sa - ede - c.values for sa, ede, c in zip(geo.self_adv, geo.e_div_e, self.drift.components)])
 
     @cached_property
@@ -207,8 +204,9 @@ class BasisGeometry:
 class BrownianIncrements:
     """One draw of the mode increments: dt plus eta_i ~ N(0, dt).
 
-    ``eta`` has shape (..., m): its leading axes, if any, are member axes,
-    one draw per member of a batch stepped as one array (see `grid`)."""
+    ``eta`` has shape (m,) or (members, m): the leading axis, if any, is the
+    member axis, one draw per member of a batch stepped as one array (see
+    `grid`)."""
 
     dt: float
     eta: Array
@@ -217,6 +215,8 @@ class BrownianIncrements:
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         eta = np.asarray(self.eta, dtype=np.float64)
+        if eta.ndim > 2:
+            raise ValueError(f"eta must have shape (m,) or (members, m), got {eta.shape}")
         object.__setattr__(self, "eta", eta.reshape(1) if eta.ndim == 0 else eta)
 
     @property
@@ -225,7 +225,7 @@ class BrownianIncrements:
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        """The member axes: () for a single draw."""
+        """The member axis: () for a single draw, (members,) for a batch."""
         return self.eta.shape[:-1]
 
 

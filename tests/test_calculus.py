@@ -94,6 +94,26 @@ def test_centered_difference_of_a_member_stack_is_per_member(shape):
             assert np.array_equal(got[k], centered_difference(stack[k], axis, g))
 
 
+def test_a_field_takes_at_most_one_member_axis_and_measures_one_member(tmp_path):
+    # values (members, *grid.shape) are a batch; a second leading axis is an
+    # error, and what measures or writes one field refuses a batch
+    from stochmap.fldio import write_field
+
+    g = grid2(8)
+    with pytest.raises(ValueError, match="at most one leading member axis"):
+        ScalarField(g, np.zeros((2, 3) + g.shape))
+    batch = ScalarField(g, np.ones((2,) + g.shape))
+    assert batch.batch_shape == (2,) and ScalarField.zeros(g).batch_shape == ()
+    for what, measure in [("write_field", lambda f: write_field(tmp_path / "f.fld", f)),
+                          ("integrate", integrate),
+                          ("sample_at", lambda f: sample_at(f, g.points()[:3])),
+                          ("ScalarField.min", ScalarField.min),
+                          ("ScalarField.max", ScalarField.max)]:
+        with pytest.raises(ValueError, match=rf"{what} takes one member; .* batched over \(2,\)"):
+            measure(batch)
+        measure(ScalarField.constant(g, 1.0))
+
+
 def test_derivative_linearity():
     rng = np.random.default_rng(0)
     g = grid2(32)

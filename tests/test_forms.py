@@ -326,6 +326,12 @@ def test_single_member_operators_reject_a_batched_increment():
         inverse_map(d, g.points())
     with pytest.raises(ValueError, match="oracle_remap takes one member"):
         oracle_remap(TensorClass.ZERO_FORM, f, d)
+    with pytest.raises(ValueError, match="perturb_volume_multiplier takes one member"):
+        perturb_volume_multiplier(d)
+    one = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full(1, 0.01)))
+    fs = ScalarField(g, np.stack([f.values, f.values]))
+    with pytest.raises(ValueError, match=r"perturb_1form takes one member; got a field batched over \(2,\)"):
+        perturb_1form(VectorField(g, (fs, fs)), one)
 
 
 # --- n-vector ---------------------------------------------------------------

@@ -142,6 +142,22 @@ def test_forecast_of_a_member_batch_equals_its_members_one_by_one(tensor_class, 
         assert np.array_equal(batch["f"].values[k], one["f"].values)
 
 
+def test_forecast_needs_the_member_axis_of_its_increment():
+    # a batch under one draw, or one member under a batch of draws, is an error
+    g = grid2(16)
+    basis = lu_basis(two_wave_basis(g))
+    f = smooth(g, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(y))
+    batch = ScalarField(g, np.stack([f.values, f.values]))
+    one = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full(basis.n_modes, 0.01)))
+    two = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full((2, basis.n_modes), 0.01)))
+    for field, d, shapes in [(batch, one, r"\(2,\) but increment over \(\)"),
+                             (f, two, r"\(\) but increment over \(2,\)")]:
+        for tensor_class in (TensorClass.ZERO_FORM, TensorClass.N_FORM, TensorClass.N_VECTOR):
+            with pytest.raises(ValueError, match=rf"field batched over {shapes}"):
+                two_step_forecast({"f": field}, None, {"f": tensor_class}, basis, 1e-3,
+                                  np.random.default_rng(0), increment=d)
+
+
 @pytest.mark.parametrize("tensor_class", [TensorClass.ZERO_FORM, TensorClass.N_FORM, TensorClass.N_VECTOR])
 def test_forecast_leaves_its_input_state_unchanged(tensor_class):
     # the step forms its sums in arrays of its own; an rhs that hands back

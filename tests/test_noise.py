@@ -97,6 +97,13 @@ def test_nonpositive_dt_rejected():
         BrownianIncrements(dt=-1.0, eta=np.zeros(2))
 
 
+def test_increments_take_at_most_one_member_axis():
+    assert BrownianIncrements(1e-3, np.zeros((4, 2))).batch_shape == (4,)
+    assert BrownianIncrements(1e-3, np.zeros(2)).batch_shape == ()
+    with pytest.raises(ValueError, match=r"\(m,\) or \(members, m\)"):
+        BrownianIncrements(1e-3, np.zeros((3, 4, 2)))
+
+
 # --- drift correction -------------------------------------------------------
 
 def test_drift_correction_vanishes_for_constant_modes():
