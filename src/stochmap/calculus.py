@@ -99,6 +99,14 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum() * f.grid.cell_volume)
 
 
+def member_integrals(f: ScalarField) -> list[float]:
+    """`integrate` of each member of a field batched over members, each a sum
+    over the member's own contiguous view, with the bits of its own call."""
+    if not f.batch_shape:
+        raise ValueError("member_integrals takes a field batched over members")
+    return [float(v.sum() * f.grid.cell_volume) for v in f.values]
+
+
 def dot(a: VectorField, b: VectorField) -> ScalarField:
     out = a.components[0] * b.components[0]
     for p in range(1, a.dim):

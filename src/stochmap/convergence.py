@@ -20,7 +20,7 @@ the O(h^2)-per-dt stencil defects shrink at the same rate as the time terms
 and the fitted slope reflects the scheme order rather than a fixed-h floor.
 
 The weak-mean study (`weak_advection_study`) steps its members in batches,
-WEAK_BATCH_POINTS grid points per array (4 members at 64^2), through the
+`grid.BATCH_POINTS` grid points per array (4 members at 64^2), through the
 member axis of `two_step_forecast`: one step call per batch, not per member,
 each member keeping the bits of its own trajectory.  The level means add the
 members in member order, so they equal a member-by-member loop exactly.
@@ -49,12 +49,6 @@ from .noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
 
 DEFAULT_DTS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 TWO_PI = 2.0 * np.pi
-# grid points per array in `weak_advection_study`, whose members are stepped in
-# batches of WEAK_BATCH_POINTS // grid points (4 at 64^2).  Every array of a
-# step grows with the batch: at 8 members the weak_mean benchmark ran a few
-# per cent faster than at 4, but its peak RSS rose 5.4 % over one member at a
-# time, past the benchmark's 5 % bound (2-core VM, numpy 2.4).
-WEAK_BATCH_POINTS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +446,7 @@ def weak_advection_study(
     paths = matched_increment_ensemble(len(basis.modes), dt_fine, n_fine, n_levels,
                                        members, member_rng)
     unused_rng = np.random.default_rng(0)   # every step passes its increment
-    batch = max(1, WEAK_BATCH_POINTS // g.n_points)
+    batch = g.members_per_batch
     for first in range(0, members, batch):
         batch_paths = paths[first:first + batch]
         f_batch = ScalarField(g, np.broadcast_to(f0.values, (len(batch_paths),) + g.shape))

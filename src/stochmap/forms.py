@@ -107,17 +107,6 @@ def _grad(v: Array, grid: Grid) -> list[Array]:
     return [_d(v, p, grid) for p in range(grid.dim)]
 
 
-def _hessian(grads: list[Array], grid: Grid) -> list[list[Array]]:
-    """d_p d_q as a symmetric nested list; hess[p][q] and hess[q][p] are one array."""
-    dim = grid.dim
-    hess: list[list[Array]] = [[None] * dim for _ in range(dim)]  # type: ignore[list-item]
-    for p in range(dim):
-        for q in range(p, dim):
-            hess[p][q] = _d(grads[p], q, grid)
-            hess[q][p] = hess[p][q]
-    return hess
-
-
 def _div(vecs: list[Array], grid: Grid) -> Array:
     return sum(_d(vecs[p], p, grid) for p in range(grid.dim))
 
@@ -126,16 +115,18 @@ def _dot(e: list[Array], grads: list[Array], start=0) -> Array:
     return sum((e[p] * grads[p] for p in range(len(e))), start)
 
 
-def _variance_quadratic(amat: list[list[Array]], hess: list[list[Array]]) -> Array:
+def _variance_quadratic(amat: list[list[Array]], grads: list[Array], grid: Grid) -> Array:
     """(1/2) A^{pq} d_p d_q f with A the basis's variance tensor (symmetric
-    pairs folded), summed from 0 over the upper triangle row by row.  It
-    forms the products in the arrays of ``hess``, which it consumes."""
+    pairs folded), summed from 0 over the upper triangle row by row, from
+    the gradient ``grads`` of f.  Each Hessian entry d_q (d_p f) is formed
+    when its term is added, and the product is formed in it."""
     acc = None
-    for p in range(len(hess)):
-        for q in range(p, len(hess)):
-            term = hess[p][q]
+    for p in range(grid.dim):
+        for q in range(p, grid.dim):
+            term = _d(grads[p], q, grid)
             term *= 0.5 * amat[p][p] if q == p else amat[p][q]
-            acc = np.add(term, 0.0, out=term) if acc is None else np.add(acc, term, out=acc)
+            acc = _sum_into(acc, term)
+            del term     # before the next entry allocates
     return acc
 
 
@@ -149,6 +140,15 @@ def _dot_into(acc: Array | None, e: list[Array], grads: list[Array]) -> Array:
             acc, term = np.add(term, 0.0, out=term), None
         else:
             acc += term
+    return acc
+
+
+def _sum_into(acc: Array | None, term: Array) -> Array:
+    """``acc + term``, formed in ``acc``; from 0, in ``term``, when ``acc`` is
+    None.  Both are arrays the caller owns."""
+    if acc is None:
+        return np.add(term, 0.0, out=term)
+    acc += term
     return acc
 
 
@@ -173,14 +173,21 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
     order of the plain expressions, sums from 0 included, so the bits are
     theirs: a fresh array per term makes the heap trim and regrow, which
     costs page faults on every step of a batch.
+
+    An inverse increment's noise displacement is -xi of its forward
+    increment (`DiffeoIncrement.signed_noise`): the noise is then formed
+    from xi with s0 and s1 negated, which gives the bits of -xi up to the
+    sign of a zero.
     """
-    grid, fv, xi = f.grid, f.values, d.noise_displacement
+    grid, fv = f.grid, f.values
+    xi, sign = d.signed_noise
+    s0, s1 = sign * s0, sign * s1
     grads = _grad(fv, grid)
-    drift = _variance_quadratic(d.basis.geometry.amat, _hessian(grads, grid))
+    drift = _variance_quadratic(d.basis.geometry.amat, grads, grid)
     if c0 is not None:
         start = c0 * fv
-        start += drift
-        drift = _dot_into(start, c1, grads)
+        drift = np.add(start, drift, out=start)     # frees the quadratic's array
+        drift = _dot_into(drift, c1, grads)
     elif c1 is not None:
         drift += _dot_into(None, c1, grads)
     for p in range(grid.dim):
@@ -188,12 +195,15 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
     noise = np.add(grads[0], 0.0, out=grads[0])     # xi.grad f, from 0
     for p in range(1, grid.dim):
         noise += grads[p]
+    del grads    # freed before the divergence and the increment allocate
     if s0:
         div_xi = _d(xi[0], 0, grid)
         div_xi += 0.0
         for p in range(1, grid.dim):
             div_xi += _d(xi[p], p, grid)
         div_xi *= fv
+        if s0 < 0:
+            np.negative(div_xi, out=div_xi)
         noise = np.add(div_xi, noise, out=div_xi) if s1 > 0 else np.subtract(div_xi, noise, out=div_xi)
     elif s1 < 0:
         np.negative(noise, out=noise)
@@ -240,6 +250,8 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
       noise = d_p (xi^p f)
 
     so that integrate(realized) telescopes to zero for every realisation.
+    Both sums are formed in place, in arrays this call made, with the order
+    of the plain expressions and sums from 0.
     """
     basis = d.basis
     if mode is NFormMode.POINTWISE:
@@ -248,8 +260,17 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
     grid, fv, xi = f.grid, f.values, d.noise_displacement
     amat, b = basis.geometry.amat, basis.flux_velocity
     grads = _grad(fv, grid)
-    drift = sum(_d(b[p] * fv + 0.5 * _dot(amat[p], grads), p, grid) for p in range(grid.dim))
-    return _assemble(grid, drift, sum(_d(xi[p] * fv, p, grid) for p in range(grid.dim)), d)
+    drift = noise = None
+    for p in range(grid.dim):
+        flux = _dot_into(None, amat[p], grads)
+        flux *= 0.5
+        flux += np.multiply(b[p], fv)         # b^p f + (1/2) A^{pq} d_q f
+        drift = _sum_into(drift, _d(flux, p, grid))
+        del flux     # before the next axis allocates
+    del grads
+    for p in range(grid.dim):
+        noise = _sum_into(noise, _d(np.multiply(xi[p], fv), p, grid))
+    return _assemble(grid, drift, noise, d)
 
 
 def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
@@ -270,7 +291,7 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     grads = [_grad(c, grid) for c in vv]      # grads[p][q] = d_q v^p
     drift = []
     for j in range(grid.dim):
-        dj = _variance_quadratic(amat, _hessian(grads[j], grid))
+        dj = _variance_quadratic(amat, grads[j], grid)
         for p in range(grid.dim):
             dj = dj + a[p] * grads[j][p] + _d(a[p], j, grid) * vv[p]
         drift.append(dj)

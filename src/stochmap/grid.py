@@ -10,7 +10,13 @@ axes (shape ``(members, *grid.shape)``): a batch of ensemble members stepped
 as one array, each member computed with the bits of its own single-member
 call.  What measures or writes one field (`min`, `max`, `calculus.integrate`,
 `calculus.sample_at`, `fldio.write_field`) takes one member and raises
-ValueError on a batch (`ScalarField.require_single_member`).
+ValueError on a batch (`ScalarField.require_single_member`);
+`VectorField.max_norm` gives one value per member.  A check that fails on
+one member of a batch says which (`member_error`), as does the finiteness
+scan of a batched field.  `stack_members` builds a batch from one field per
+member, and `ScalarField.members` gives each member's field back as a view.
+Ensembles are stepped in batches of `BATCH_POINTS` grid points per array
+(`Grid.members_per_batch`).
 """
 from __future__ import annotations
 
@@ -23,6 +29,15 @@ import numpy as np
 
 Array = np.ndarray
 T = TypeVar("T")
+E = TypeVar("E", bound=Exception)
+F = TypeVar("F", "ScalarField", "VectorField")
+
+# Grid points per array when ensemble members are stepped as one batch: 4
+# members at 64^2 (`Grid.members_per_batch`).  Every array of a step grows
+# with the batch: at 8 members the weak_mean benchmark ran a few per cent
+# faster than at 4, but its peak RSS rose 5.4 % over one member at a time,
+# past the benchmark's 5 % bound (2-core VM, numpy 2.4).
+BATCH_POINTS = 1 << 14
 
 
 class TensorClass(Enum):
@@ -66,6 +81,12 @@ class Grid:
         return len(self.shape)
 
     @cached_property
+    def trailing_axes(self) -> tuple[int, ...]:
+        """The grid axes counted from the end of an array: a reduction over
+        them keeps a leading member axis."""
+        return tuple(range(-self.dim, 0))
+
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(ell / n for ell, n in zip(self.extents, self.shape))
 
@@ -76,6 +97,12 @@ class Grid:
     @property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
+
+    @property
+    def members_per_batch(self) -> int:
+        """Ensemble members stepped as one array: BATCH_POINTS // n_points,
+        at least 1."""
+        return max(1, BATCH_POINTS // self.n_points)
 
     @property
     def cell_volume(self) -> float:
@@ -113,13 +140,29 @@ class NonFiniteError(ValueError):
     """A field took a NaN or infinite value: the state has blown up."""
 
 
+def member_error(kind: type[E], message: str, member: int | None = None) -> E:
+    """``kind(message)``, or for member ``j`` of a batch ``kind("member j: "
+    + message)``.  The error keeps ``member`` and the member-free ``detail``,
+    so a caller can add to the message (`reworded`) or number the member
+    within a larger ensemble (`runner`)."""
+    err = kind(message if member is None else f"member {member}: {message}")
+    err.member, err.detail = member, message
+    return err
+
+
+def reworded(err: E, prefix: str) -> E:
+    """``err`` again, with ``prefix`` put in front of its message, after the
+    member it names."""
+    return member_error(type(err), prefix + getattr(err, "detail", str(err)), getattr(err, "member", None))
+
+
 def named_field(name: str, build: Callable[..., T], *args) -> T:
     """``build(*args)``, with ``name`` put in front of a NonFiniteError it
     raises, so that a blow-up names the state variable it was found in."""
     try:
         return build(*args)
     except NonFiniteError as err:
-        raise NonFiniteError(f"{name}: {err}") from err
+        raise reworded(err, f"{name}: ") from err
 
 
 @dataclass(frozen=True)
@@ -135,7 +178,10 @@ class ScalarField:
             raise ValueError(f"values shape {vals.shape} is not grid shape {self.grid.shape}"
                              " with at most one leading member axis")
         if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("field values must be finite")
+            member = None
+            if vals.ndim > self.grid.dim:   # the first member with a non-finite value
+                member = int(np.argmin(np.isfinite(vals).all(axis=self.grid.trailing_axes)))
+            raise member_error(NonFiniteError, "field values must be finite", member)
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -163,6 +209,10 @@ class ScalarField:
         """Raise ValueError naming ``what`` if the field is a batch of members."""
         if self.batch_shape:
             raise ValueError(f"{what} takes one member; got a field batched over {self.batch_shape}")
+
+    def members(self) -> list["ScalarField"]:
+        """Each member's field, a view into the batch; [self] for one member."""
+        return [self.with_values(v) for v in self.values] if self.batch_shape else [self]
 
     # small arithmetic surface: enough to assemble right-hand sides and tests
     def __add__(self, other):
@@ -245,6 +295,19 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def max_norm(self) -> float:
-        """max over nodes of the Euclidean component norm."""
-        return float(np.sqrt(sum(c.values**2 for c in self.components)).max())
+    def max_norm(self) -> float | Array:
+        """max over nodes of the Euclidean component norm; for a batch, an
+        array with each member's own max (the max is exact, so each has the
+        bits of its own call)."""
+        peak = np.sqrt(sum(c.values**2 for c in self.components)).max(axis=self.grid.trailing_axes)
+        return peak if peak.ndim else float(peak)
+
+
+def stack_members(fields: Sequence[F]) -> F:
+    """One field batched over members from one field per member, in order
+    (all ScalarFields or all VectorFields on one grid)."""
+    first = fields[0]
+    if isinstance(first, VectorField):
+        return VectorField(first.grid, tuple(stack_members([f.components[p] for f in fields])
+                                             for p in range(first.dim)))
+    return ScalarField(first.grid, np.stack([f.values for f in fields]))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import curl, dot, integrate
+from .calculus import curl, dot, integrate, member_integrals
 from .forms import NFormMode, perturb_1form, perturb_nform
 from .grid import ScalarField, VectorField
 from .maps import DiffeoIncrement
@@ -89,14 +89,25 @@ def helicity_drift(u: VectorField, d: DiffeoIncrement) -> float:
     return abs(helicity(uhat) - helicity(u))
 
 
-def tsw_invariants(state: TSWState) -> tuple[float, float, tuple[float, float]]:
+Invariants = tuple[float, float, tuple[float, float]]
+
+
+def tsw_invariants(state: TSWState) -> Invariants | list[Invariants]:
     """(total energy, total mass, total momentum) of a shallow-water state.
 
     E = int (1/2)(h |u|^2 + h^2 Theta),  M = int h,  Mom = int h u.
+
+    For a state batched over members, a list with one tuple per member.
+    The densities are formed over the batch, and each member's integrals
+    are sums over its own contiguous view, which have the bits of its own
+    call.  An overflow in a density names the member it was found in.
     """
     h, theta, u = state.h, state.theta, state.u
     speed2 = sum(c.values**2 for c in u.components)
-    energy = integrate(h.with_values(0.5 * (h.values * speed2 + h.values**2 * theta.values)))
-    mass = integrate(h)
-    momentum = tuple(integrate(h * c) for c in u.components)
-    return energy, mass, momentum
+    densities = [h.with_values(0.5 * (h.values * speed2 + h.values**2 * theta.values)), h]
+    densities += [h * c for c in u.components]
+    if not h.batch_shape:
+        energy, mass, *momentum = (integrate(f) for f in densities)
+        return energy, mass, tuple(momentum)
+    sums = [member_integrals(f) for f in densities]
+    return [(energy, mass, tuple(momentum)) for energy, mass, *momentum in zip(*sums)]

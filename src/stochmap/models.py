@@ -22,7 +22,7 @@ from .forms import (
     perturb_nform,
     pushforward_nvector,
 )
-from .grid import Array, Grid, ScalarField, TensorClass, VectorField, named_field
+from .grid import Array, Grid, ScalarField, TensorClass, VectorField, member_error, named_field
 from .maps import DiffeoIncrement, inverse_increment, make_increment
 from .noise import BrownianIncrements, NoiseBasis, ito_drift_correction, sample_increments
 
@@ -42,7 +42,9 @@ class PositivityError(RuntimeError):
 # generic two-step forecast
 
 def check_stability(grid: Grid, dt: float, velocity_scale: float, diffusivity: float,
-                    c_stab: float = 1.0) -> None:
+                    c_stab: float = 1.0, member: int | None = None) -> None:
+    """Raise StabilityError if dt exceeds c_stab times the advective and
+    diffusive limits; ``member``, if given, is the batch member checked."""
     h = grid.min_spacing
     limit = np.inf
     if diffusivity > 0:
@@ -50,9 +52,11 @@ def check_stability(grid: Grid, dt: float, velocity_scale: float, diffusivity: f
     if velocity_scale > 0:
         limit = min(limit, h / velocity_scale)
     if dt > c_stab * limit:
-        raise StabilityError(
+        raise member_error(
+            StabilityError,
             f"dt = {dt:.3e} exceeds stability bound {c_stab * limit:.3e} "
-            f"(velocity scale {velocity_scale:.3g}, diffusivity {diffusivity:.3g})"
+            f"(velocity scale {velocity_scale:.3g}, diffusivity {diffusivity:.3g})",
+            member,
         )
 
 
@@ -125,7 +129,8 @@ def two_step_forecast(
     whose eta has shape (members, m) (see `grid` and `maps`); each member
     then gets the bits of its own step.  The 1-form takes one member.  The
     step forms its sums in arrays it made and never writes into the state's
-    or the rhs's fields.
+    or the rhs's fields, and it drops each post-Euler field as soon as it
+    has been perturbed.
     """
     tilde = dict(state)
     if rhs is not None:
@@ -139,8 +144,8 @@ def two_step_forecast(
     if basis.is_null and increment is None:
         return tilde
     d = increment if increment is not None else make_increment(basis, dt, rng, safety)
-    return {k: named_field(k, apply_increment, field, assignment[k], d, nform_mode)
-            for k, field in tilde.items()}
+    return {k: named_field(k, apply_increment, tilde.pop(k), assignment[k], d, nform_mode)
+            for k in list(tilde)}
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,9 @@ class TSWState:
     """Active-layer height h, density contrast Theta, column velocity u.
 
     h and Theta must stay strictly positive; construction aborts otherwise
-    rather than clipping, so conservation measurements stay honest.
+    rather than clipping, so conservation measurements stay honest.  The
+    fields may carry one member axis (see `grid`): each member is checked
+    on its own, and a failure names the first failing member.
     """
 
     h: ScalarField
@@ -289,10 +296,12 @@ class TSWState:
             raise ValueError("thermal shallow water is two-dimensional")
         if self.theta.grid != self.h.grid or self.u.grid != self.h.grid:
             raise ValueError("state fields must share one grid")
-        if self.h.min() <= 0.0:
-            raise PositivityError(f"layer height lost positivity (min h = {self.h.min():.3e})")
-        if self.theta.min() <= 0.0:
-            raise PositivityError(f"density contrast lost positivity (min Theta = {self.theta.min():.3e})")
+        for field, what, symbol in ((self.h, "layer height", "h"), (self.theta, "density contrast", "Theta")):
+            lows = np.atleast_1d(field.values.min(axis=self.grid.trailing_axes))
+            if (lows <= 0.0).any():
+                member = int(np.argmax(lows <= 0.0))
+                raise member_error(PositivityError, f"{what} lost positivity (min {symbol} = {lows[member]:.3e})",
+                                   member if field.batch_shape else None)
 
     @property
     def grid(self) -> Grid:
@@ -315,6 +324,12 @@ def tsw_deterministic_rhs(state: TSWState, params: TSWParams) -> State:
     dh/dt     = -div(h u)                      (flux form: mass to round-off)
     dTheta/dt = -(u.grad)Theta - kappa (h Theta - h0 Theta0)
     du/dt     = -(u.grad)u - f zhat x u - grad(h Theta) + (1/2) h grad Theta
+
+    Each sum is formed in place, in an array made here, term by term left
+    to right, with the bits of the plain expressions
+    ``-(0.0 + d_x(h u_x) + d_y(h u_y))``,
+    ``0.0 - u.grad Theta - kappa (h Theta - h0 Theta0)`` and
+    ``f zhat x u - d_j(h Theta) + 0.5 h d_j Theta - u.grad u_j``.
     """
     grid = state.grid
     h, theta = state.h.values, state.theta.values
@@ -322,19 +337,37 @@ def tsw_deterministic_rhs(state: TSWState, params: TSWParams) -> State:
     htheta = h * theta
     grad_theta = [_d(theta, p, grid) for p in range(2)]
     # dh and dtheta start from 0.0, which fixes the sign of their zeros
-    dh = -(0.0 + _d(h * u[0], 0, grid) + _d(h * u[1], 1, grid))
-    dtheta = 0.0 - u[0] * grad_theta[0] - u[1] * grad_theta[1]
-    dtheta = dtheta - params.kappa * (htheta - params.h0 * params.theta0)
-    coriolis = (params.fcor * u[1], -params.fcor * u[0])
-    du = [coriolis[j] - _d(htheta, j, grid) + 0.5 * h * grad_theta[j]
-          - u[0] * _d(u[j], 0, grid) - u[1] * _d(u[j], 1, grid) for j in range(2)]
+    dh = _d(h * u[0], 0, grid)
+    dh += 0.0
+    dh += _d(h * u[1], 1, grid)
+    np.negative(dh, out=dh)
+    dtheta = np.multiply(u[0], grad_theta[0])
+    np.subtract(0.0, dtheta, out=dtheta)
+    dtheta -= np.multiply(u[1], grad_theta[1])
+    relax = htheta - params.h0 * params.theta0
+    relax *= params.kappa
+    dtheta -= relax
+    del relax
+    du = []
+    for j, coriolis in enumerate((params.fcor * u[1], -params.fcor * u[0])):
+        coriolis -= _d(htheta, j, grid)
+        half = 0.5 * h
+        half *= grad_theta[j]
+        coriolis += half
+        for p in range(2):
+            adv = _d(u[j], p, grid)
+            adv *= u[p]
+            coriolis -= adv
+        du.append(coriolis)
     return {"h": named_field("h", ScalarField, grid, dh),
             "theta": named_field("theta", ScalarField, grid, dtheta),
             "u": named_field("u", VectorField.from_arrays, grid, du)}
 
 
-def tsw_gravity_wave_speed(state: TSWState) -> float:
-    return float(np.sqrt((state.h.values * state.theta.values).max()))
+def tsw_gravity_wave_speed(state: TSWState) -> float | Array:
+    """sqrt(max h Theta); for a batch, an array with each member's own."""
+    peak = np.sqrt((state.h.values * state.theta.values).max(axis=state.grid.trailing_axes))
+    return peak if peak.ndim else float(peak)
 
 
 def tsw_spde_step(
@@ -350,11 +383,20 @@ def tsw_spde_step(
     c_stab: float = 1.0,
     increment: DiffeoIncrement | None = None,
 ) -> TSWState:
-    """One thermal shallow water step; all three variables share one increment."""
+    """One thermal shallow water step; all three variables share one increment.
+
+    A state batched over members steps each member as its own call would:
+    each is checked against its own stability bound, and a failure names
+    the first failing member.
+    """
     vel, diff = basis.scales
     if rhs_enabled:
-        vel += state.u.max_norm() + tsw_gravity_wave_speed(state)
-    check_stability(state.grid, dt, vel, diff, c_stab)
+        vel = vel + (state.u.max_norm() + tsw_gravity_wave_speed(state))
+    if state.h.batch_shape:
+        for member, scale in enumerate(np.broadcast_to(vel, state.h.batch_shape)):
+            check_stability(state.grid, dt, float(scale), diff, c_stab, member)
+    else:
+        check_stability(state.grid, dt, vel, diff, c_stab)
     rhs = (lambda _: tsw_deterministic_rhs(state, params)) if rhs_enabled else None
     new = two_step_forecast(
         state.as_dict(), rhs, TSW_ASSIGNMENT, basis, dt, rng,

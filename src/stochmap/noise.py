@@ -286,11 +286,18 @@ def build_fourier_basis(grid: Grid, mode_specs: Sequence[ModeSpec],
     return NoiseBasis(grid, tuple(modes), drift, divergence_free=flag)
 
 
-def sample_increments(m: int, dt: float, rng: np.random.Generator) -> BrownianIncrements:
-    """Draw eta_i ~ N(0, dt) for i = 1..m; deterministic given the rng state."""
+def sample_increments(m: int, dt: float,
+                      rng: np.random.Generator | Sequence[np.random.Generator]) -> BrownianIncrements:
+    """Draw eta_i ~ N(0, dt) for i = 1..m; deterministic given the rng state.
+
+    A sequence of generators, one per member of a batch, draws each member's
+    eta from its own, in member order, stacked into shape (members, m).
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return BrownianIncrements(dt=dt, eta=rng.normal(0.0, np.sqrt(dt), size=m))
+    if isinstance(rng, np.random.Generator):
+        return BrownianIncrements(dt=dt, eta=rng.normal(0.0, np.sqrt(dt), size=m))
+    return BrownianIncrements(dt=dt, eta=np.stack([r.normal(0.0, np.sqrt(dt), size=m) for r in rng]))
 
 
 def mode_gradient(e: Sequence[Array], grid: Grid) -> tuple[list[list[Array]], Array]:

@@ -21,7 +21,7 @@ from . import __version__
 from .calculus import integrate
 from .config import RunConfig
 from .fldio import write_field
-from .grid import Grid, NonFiniteError, TensorClass, VectorField, named_field
+from .grid import NonFiniteError, TensorClass, VectorField, named_field, stack_members
 from .invariants import DiagnosticSeries, tsw_invariants
 from .maps import StepSizeError
 from .models import (
@@ -32,7 +32,6 @@ from .models import (
     tsw_spde_step,
     two_step_forecast,
 )
-from .noise import NoiseBasis
 from .runner_support import build_basis, smooth_scalar, tsw_initial_state, tsw_params
 
 OUTPUT_DIR_ENV = "STOCHMAP_OUTDIR"
@@ -63,15 +62,44 @@ def run_simulation(config: RunConfig) -> RunResult:
     grid = config.make_grid()
     basis = build_basis(grid, config)   # one per run: members share its geometry and inverse
     seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble)
+    labels = [f"member_{k:03d}" for k in range(config.ensemble)] if config.ensemble > 1 else [""]
+    run = _run_tsw if config.model == "tsw" else _run_scalar
     diagnostics: dict[str, list[str]] = {}
-    for member in range(config.ensemble):
-        label = f"member_{member:03d}" if config.ensemble > 1 else ""
-        out_dir = out_root / label if label else out_root
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rng = np.random.default_rng(seeds[member])
-        series = _run_member(config, grid, basis, rng, out_dir, member)
-        diagnostics[label or "single"] = series
+    for first in range(0, config.ensemble, grid.members_per_batch):
+        members = range(first, min(first + grid.members_per_batch, config.ensemble))
+        batch = _Batch(members, [np.random.default_rng(seeds[k]) for k in members],
+                       [out_root / labels[k] for k in members], config.ensemble > 1)
+        for out_dir in batch.out_dirs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        names = run(config, grid, basis, batch)
+        diagnostics.update((labels[k] or "single", names) for k in members)
     return RunResult(out_root, config.n_steps, diagnostics)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Ensemble members stepped together: one member on grid-shaped arrays,
+    several as one array batched over them."""
+
+    members: range                  # their ensemble indices
+    rngs: list[np.random.Generator]
+    out_dirs: list[Path]
+    in_ensemble: bool               # a failure names its member
+
+    def describe(self, err: Exception) -> str:
+        """The message of a guard error; in an ensemble, it names the failing
+        member by its ensemble index.  A batch-wide check that names no
+        member fails on the batch's first."""
+        if not self.in_ensemble:
+            return str(err)
+        member = self.members[getattr(err, "member", None) or 0]
+        return f"member {member}: {getattr(err, 'detail', str(err))}"
+
+
+def _one_or_all(items: list):
+    """The one member's item, or the list of every member's: a batch of one
+    member steps grid-shaped arrays."""
+    return items[0] if len(items) == 1 else items
 
 
 def _manifest_text(config: RunConfig) -> str:
@@ -86,32 +114,22 @@ def _manifest_text(config: RunConfig) -> str:
     return head + (config.raw_text or "(constructed in memory)\n")
 
 
-def _run_member(config: RunConfig, grid: Grid, basis: NoiseBasis, rng: np.random.Generator,
-                out_dir: Path, member: int) -> list[str]:
-    if config.model == "tsw":
-        recorders = _run_tsw(config, grid, basis, rng, out_dir, member)
-    else:  # advection, or perturbation_only on a scalar field
-        recorders = _run_scalar(config, grid, basis, rng, out_dir, member,
-                                advect=config.model == "advection")
-    return [rec.name for rec in recorders]
-
-
 def _snapshot_due(config: RunConfig, step: int) -> bool:
     if step == config.n_steps:
         return True
     return config.snapshot_interval > 0 and step % config.snapshot_interval == 0
 
 
-def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
+def _march(config: RunConfig, batch: _Batch, series: list[list[DiagnosticSeries]],
            initial, advance, record, snap) -> None:
     """Step loop shared by the models: record every step and snapshot when due.
 
     The initial state is built inside the guarded region, so a guard that
     fires on it aborts the run at step 0.  Overflow there is silent: the
     finiteness scan of each step's fields is the one report, and it carries
-    the step.  The series are written whether the run completes or a guard
-    aborts it, so an aborted run keeps the diagnostics of every step it
-    finished.
+    the step.  The series, one list per member, are written whether the
+    batch completes or a guard aborts it, so every member of an aborted
+    batch keeps the diagnostics of every step the batch finished.
     """
     step = 0
     try:
@@ -126,44 +144,48 @@ def _march(config: RunConfig, out_dir: Path, series: list[DiagnosticSeries],
                 if _snapshot_due(config, step):
                     snap(step, state)
     except (StabilityError, PositivityError, StepSizeError, NonFiniteError) as err:
-        raise RuntimeAbort(f"step {step}: {err}") from err
+        raise RuntimeAbort(f"step {step}: {batch.describe(err)}") from err
     finally:
-        for rec in series:
-            (out_dir / f"{rec.name}.csv").write_text(rec.to_csv())
+        for out_dir, member_series in zip(batch.out_dirs, series):
+            for rec in member_series:
+                (out_dir / f"{rec.name}.csv").write_text(rec.to_csv())
 
 
-def _run_tsw(config, grid, basis, rng, out_dir: Path, member: int) -> list[DiagnosticSeries]:
-    initial = partial(tsw_initial_state, grid, config, np.random.default_rng(config.seed + 1000 + member))
+def _run_tsw(config, grid, basis, batch: _Batch) -> list[str]:
+    ic_rngs = [np.random.default_rng(config.seed + 1000 + k) for k in batch.members]
+    initial = partial(tsw_initial_state, grid, config, _one_or_all(ic_rngs))
     params = tsw_params(config)
-    series = [DiagnosticSeries(name) for name in ("energy", "mass", "momentum_x", "momentum_y")]
+    names = ("energy", "mass", "momentum_x", "momentum_y")
+    series = [[DiagnosticSeries(name) for name in names] for _ in batch.members]
 
     def record(t, s):
-        e, m, (px, py) = tsw_invariants(s)
-        for rec, value in zip(series, (e, m, px, py)):
-            rec.append(t, value)
+        values = tsw_invariants(s)
+        for recs, (e, m, (px, py)) in zip(series, values if s.h.batch_shape else [values]):
+            for rec, value in zip(recs, (e, m, px, py)):
+                rec.append(t, value)
 
     def snap(step, s):
         for name, field in (("h", s.h), ("theta", s.theta),
                             ("u_x", s.u.components[0]), ("u_y", s.u.components[1])):
-            write_field(out_dir / f"{name}_{step:06d}.fld", field)
+            for out_dir, member in zip(batch.out_dirs, field.members()):
+                write_field(out_dir / f"{name}_{step:06d}.fld", member)
 
     def advance(s):
         return tsw_spde_step(
-            s, params, basis, config.dt, rng,
+            s, params, basis, config.dt, _one_or_all(batch.rngs),
             rhs_enabled=config.rhs_enabled,
             nform_mode=config.nform_mode,
             safety=config.safety,
             c_stab=config.c_stab,
         )
 
-    _march(config, out_dir, series, initial, advance, record, snap)
-    return series
+    _march(config, batch, series, initial, advance, record, snap)
+    return list(names)
 
 
-def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bool) -> list[DiagnosticSeries]:
+def _run_scalar(config, grid, basis, batch: _Batch) -> list[str]:
+    advect = config.model == "advection"   # else perturbation_only on a scalar field
     ic_amp = config.adv_ic_amplitude if advect else config.scalar_ic_amplitude
-    initial = partial(smooth_scalar, grid, np.random.default_rng(config.seed + 1000 + member),
-                      offset=1.0, amplitude=ic_amp)
     assignment = {"f": TensorClass.ZERO_FORM if advect else config.scalar_tensor_class}
     rhs = None
     vel, diff = basis.scales   # the stability bound counts the model only when it runs
@@ -173,23 +195,30 @@ def _run_scalar(config, grid, basis, rng, out_dir: Path, member: int, advect: bo
         vel += float(np.sqrt(sum(v * v for v in config.adv_velocity)))
         diff += config.adv_diffusivity
 
-    total = DiagnosticSeries("total_integral")
-    l2 = DiagnosticSeries("l2_norm")
+    names = ("total_integral", "l2_norm")
+    series = [[DiagnosticSeries(name) for name in names] for _ in batch.members]
+
+    def initial():
+        fields = [smooth_scalar(grid, np.random.default_rng(config.seed + 1000 + k), offset=1.0, amplitude=ic_amp)
+                  for k in batch.members]
+        return {"f": fields[0] if len(fields) == 1 else stack_members(fields)}
 
     def record(t, state):
-        total.append(t, integrate(state["f"]))
-        l2.append(t, float(np.sqrt(np.mean(state["f"].values**2))))
+        for (total, l2), f in zip(series, state["f"].members()):
+            total.append(t, integrate(f))
+            l2.append(t, float(np.sqrt(np.mean(f.values**2))))
 
     def snap(step, state):
-        write_field(out_dir / f"f_{step:06d}.fld", state["f"])
+        for out_dir, f in zip(batch.out_dirs, state["f"].members()):
+            write_field(out_dir / f"f_{step:06d}.fld", f)
 
     def advance(state):
         check_stability(grid, config.dt, vel, diff, config.c_stab)
         return two_step_forecast(
-            state, rhs, assignment, basis, config.dt, rng,
+            state, rhs, assignment, basis, config.dt, _one_or_all(batch.rngs),
             nform_mode=config.nform_mode,
             safety=config.safety,
         )
 
-    _march(config, out_dir, [total, l2], lambda: {"f": initial()}, advance, record, snap)
-    return [total, l2]
+    _march(config, batch, series, initial, advance, record, snap)
+    return list(names)

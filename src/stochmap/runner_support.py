@@ -1,10 +1,12 @@
 """Shared construction helpers for the batch runner and the verify suite."""
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .config import RunConfig
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, stack_members
 from .models import TSWParams, TSWState
 from .noise import NoiseBasis, build_fourier_basis, ito_drift_correction
 
@@ -77,15 +79,24 @@ def tsw_params(config: RunConfig) -> TSWParams:
     )
 
 
-def tsw_initial_state(grid: Grid, config: RunConfig, rng: np.random.Generator) -> TSWState:
+def tsw_initial_state(grid: Grid, config: RunConfig,
+                      rng: np.random.Generator | Sequence[np.random.Generator]) -> TSWState:
+    """The configured initial state.  A sequence of generators, one per
+    member, gives a state batched over the members, each member's fields
+    drawn from its own generator; its positivity check names a member."""
+    if isinstance(rng, np.random.Generator):
+        return TSWState(*_tsw_initial_fields(grid, config, rng))
+    members = [_tsw_initial_fields(grid, config, r) for r in rng]
+    return TSWState(*(stack_members(fields) for fields in zip(*members)))
+
+
+def _tsw_initial_fields(grid: Grid, config: RunConfig, rng: np.random.Generator):
     if config.tsw_ic == "rest":
-        return TSWState(
-            ScalarField.constant(grid, config.tsw_h0),
-            ScalarField.constant(grid, config.tsw_theta0),
-            VectorField.zeros(grid),
-        )
+        return (ScalarField.constant(grid, config.tsw_h0),
+                ScalarField.constant(grid, config.tsw_theta0),
+                VectorField.zeros(grid))
     amp = config.tsw_ic_amplitude
     h = smooth_scalar(grid, rng, offset=config.tsw_h0, amplitude=amp)
     theta = smooth_scalar(grid, rng, offset=config.tsw_theta0, amplitude=amp)
     u = smooth_vector(grid, rng, amplitude=amp)
-    return TSWState(h, theta, u)
+    return h, theta, u

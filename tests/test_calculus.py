@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochmap.grid import Grid, ScalarField, VectorField
+from stochmap.grid import Grid, NonFiniteError, ScalarField, VectorField, stack_members
 from stochmap.calculus import (
     centered_difference,
     curl,
@@ -10,6 +10,7 @@ from stochmap.calculus import (
     dot,
     gradient,
     integrate,
+    member_integrals,
     sample_at,
     second_derivative,
 )
@@ -272,3 +273,26 @@ def test_sample_3d_nodes_exact():
     f = ScalarField(g, rng.standard_normal(g.shape))
     got = sample_at(f, g.points())
     assert np.allclose(got, f.values.reshape(-1), atol=1e-13)
+
+
+def test_a_batch_measures_each_member_and_names_a_non_finite_one():
+    # per-member integrals and max norms have the bits of each member's own
+    # call; the finiteness scan of a batch names the first bad member
+    g = Grid((8, 6), (2.0, 3.0))
+    rng = np.random.default_rng(4)
+    members = [VectorField.from_arrays(g, [rng.normal(size=g.shape) for _ in range(2)]) for _ in range(3)]
+    batch = stack_members(members)
+    assert batch.components[0].batch_shape == (3,)
+    assert member_integrals(batch.components[1]) == [integrate(u.components[1]) for u in members]
+    assert list(batch.max_norm()) == [u.max_norm() for u in members]
+    for view, u in zip(batch.components[0].members(), members):
+        assert np.array_equal(view.values, u.components[0].values)
+        assert view.values.base is not None      # a view into the batch
+    bad = np.ones((3,) + g.shape)
+    bad[2, 1, 1] = np.nan
+    bad[1, 0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^member 1: field values must be finite$") as info:
+        ScalarField(g, bad)
+    assert (info.value.member, info.value.detail) == (1, "field values must be finite")
+    with pytest.raises(ValueError, match="batched over members"):
+        member_integrals(members[0].components[0])

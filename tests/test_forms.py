@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from stochmap.grid import Grid, ScalarField, TensorClass, VectorField
-from stochmap.calculus import integrate, sample_at
+from stochmap.calculus import centered_difference, integrate, sample_at
 from stochmap.noise import (
     BrownianIncrements,
     ModeSpec,
     NoiseBasis,
     build_fourier_basis,
     fourier_mode_field,
+    ito_drift_correction,
     jacobian_wedge,
     mode_gradient,
 )
@@ -542,3 +543,27 @@ def test_mixed_pair_pointwise_pairing_small_defect():
     paired = sample_at(fh * gh, inverse_map(d, g.points())).reshape(g.shape)
     defect = np.abs(paired - (f * q).values).max()
     assert defect < 50 * dt
+
+
+@pytest.mark.parametrize("members", [None, 3])
+def test_flux_nform_sums_in_place_have_the_bits_of_the_plain_expressions(members):
+    # the drift d_p(b^p f + (1/2) A^{pq} d_q f) and the noise d_p(xi^p f), as
+    # plain sums from 0 with a fresh array per operation
+    g = Grid((16, 16), (2 * np.pi, 2 * np.pi))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False),
+                                    ModeSpec(k=(0, 2), amplitude=(0.15, 0.0))])
+    basis = basis.with_drift(ito_drift_correction(basis, 1.0))
+    rng = np.random.default_rng(12)
+    shape = g.shape if members is None else (members,) + g.shape
+    eta = rng.normal(0.0, 0.03, size=basis.n_modes if members is None else (members, basis.n_modes))
+    d = DiffeoIncrement(basis, BrownianIncrements(1e-3, eta))
+    f = ScalarField(g, 1.0 + 0.3 * rng.random(shape))
+    got = perturb_nform(f, d, NFormMode.FLUX)
+    fv, xi = f.values, d.noise_displacement
+    amat, b = basis.geometry.amat, basis.flux_velocity
+    grads = [centered_difference(fv, p, g) for p in range(2)]
+    drift = sum(centered_difference(b[p] * fv + 0.5 * sum((amat[p][q] * grads[q] for q in range(2)), 0), p, g)
+                for p in range(2))
+    noise = sum(centered_difference(xi[p] * fv, p, g) for p in range(2))
+    assert got.drift.tobytes() == drift.tobytes()
+    assert got.noise.tobytes() == noise.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochmap.grid import Grid, ScalarField, VectorField
+from stochmap.grid import Grid, ScalarField, VectorField, stack_members
 from stochmap.calculus import integrate
 from stochmap.noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
 from stochmap.maps import DiffeoIncrement
@@ -221,3 +221,15 @@ def test_diagnostic_series_csv_layout():
     assert lines[0] == "time,energy"
     assert lines[1] == "0.0,1.5"
     assert len(lines) == 3
+
+
+def test_tsw_invariants_of_a_batch_are_each_members_own():
+    # each member's integrals are sums over its own contiguous view: the bits
+    # of its own call
+    g = Grid((16, 12), (2.0, 3.0))
+    rng = np.random.default_rng(30)
+    members = [TSWState(ScalarField(g, 1.0 + rng.random(g.shape)), ScalarField(g, 1.0 + rng.random(g.shape)),
+                        VectorField.from_arrays(g, [rng.normal(size=g.shape) for _ in range(2)]))
+               for _ in range(3)]
+    batch = TSWState(*(stack_members(list(fields)) for fields in zip(*((s.h, s.theta, s.u) for s in members))))
+    assert tsw_invariants(batch) == [tsw_invariants(s) for s in members]

@@ -7,7 +7,8 @@ import pytest
 
 from stochmap.calculus import sample_vector_at
 from stochmap.convergence import make_scene_2d, make_scene_3d
-from stochmap.grid import Grid, VectorField
+from stochmap.forms import pushforward_nvector
+from stochmap.grid import Grid, ScalarField, VectorField
 from stochmap.noise import (
     BasisGeometry,
     BrownianIncrements,
@@ -20,6 +21,7 @@ from stochmap.noise import (
 from stochmap.maps import (
     DiffeoIncrement,
     StepSizeError,
+    _max_displacement,
     composition_residual,
     displacement_field,
     forward_map,
@@ -142,6 +144,66 @@ def test_inverse_shares_the_forward_modes_and_negates_xi():
     assert all(e_inv is e for e_inv, e in zip(basis.inverse.modes, basis.modes))
     for xi_inv, xi in zip(inverse_increment(d).noise_displacement, d.noise_displacement):
         assert np.array_equal(xi_inv, -xi)
+
+
+WEAK_STUDY_MODES = [ModeSpec(k=(0, 0), amplitude=(0.4, 0.0)), ModeSpec(k=(0, 0), amplitude=(0.0, 0.4))]
+
+
+@pytest.mark.parametrize("modes", [WEAK_STUDY_MODES,
+                                   [ModeSpec(k=(1, 2), amplitude=(0.2, 0.1), solenoidal=False),
+                                    ModeSpec(k=(2, 0), amplitude=(0.0, 0.3))]])
+def test_guard_of_a_drift_free_basis_squares_xi_and_leaves_it_unchanged(modes):
+    # without drift the guard squares xi itself, not 0 dt + xi; the per-member
+    # maxima are those of the sum, and the cached xi the operators read is intact
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, modes)
+    assert not basis.has_drift
+    eta = np.random.default_rng(6).normal(0.0, 0.03, size=(4, basis.n_modes))
+    d = DiffeoIncrement(basis, BrownianIncrements(2.5e-3, eta), safety=4.0)
+    xi = [np.zeros((4,) + g.shape) for _ in range(2)]
+    for i, e in enumerate(basis.modes):
+        for p in range(2):
+            xi[p] += e.components[p].values * eta[:, i, None, None]
+    for got, want in zip(d.noise_displacement, xi):
+        assert got.tobytes() == want.tobytes()
+    sums = [c.values * d.dt + x for c, x in zip(basis.drift.components, xi)]
+    worst = np.sqrt((sums[0] * sums[0] + sums[1] * sums[1]).max(axis=(-2, -1)))
+    assert _max_displacement(d).tobytes() == worst.tobytes()
+
+
+def test_the_inverse_reads_the_forward_xi_with_a_sign():
+    # the inverse sums no modes: its guard subtracts the forward xi, its
+    # n-vector noise flips its signs, and -xi is formed only when read
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False),
+                                    ModeSpec(k=(2, 1), amplitude=(0.1, 0.0))])
+    basis = basis.with_drift(ito_drift_correction(basis, 1.0))
+    d = make_increment(basis, 1e-3, np.random.default_rng(5))
+    inv = inverse_increment(d)
+    xi, sign = inv.signed_noise
+    assert xi is d.noise_displacement and sign == -1
+    f = ScalarField(g, 1.0 + 0.3 * np.sin(g.coords()[0]))
+    got = pushforward_nvector(f, inv)
+    assert "noise_displacement" not in inv.__dict__
+    summed = DiffeoIncrement(basis.inverse, BrownianIncrements(d.dt, -d.increments.eta))
+    want = pushforward_nvector(f, summed)
+    assert np.array_equal(got.increment, want.increment)
+    assert _max_displacement(inv).tobytes() == _max_displacement(summed).tobytes()
+
+
+def test_batched_inverse_guard_names_its_member_first():
+    # members 0 and 2 pass both guards; member 1 fails only the inverse's
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    basis = build_fourier_basis(g, [ModeSpec(k=(1, 0), amplitude=(0.3, 0.0), solenoidal=False)])
+    eta = np.array([[0.0005], [0.005], [-0.0008]])
+    d = DiffeoIncrement(basis, BrownianIncrements(dt=5e-2, eta=eta), safety=0.025)
+    with pytest.raises(StepSizeError) as single:
+        inverse_increment(DiffeoIncrement(basis, BrownianIncrements(dt=5e-2, eta=eta[1]), safety=0.025))
+    with pytest.raises(StepSizeError) as batched:
+        inverse_increment(d)
+    assert str(single.value).startswith("inverse map: max displacement")
+    assert str(batched.value) == f"member 1: {single.value}"
+    assert batched.value.member == 1
 
 
 def test_inverse_guard_failure_names_the_inverse_map():

@@ -4,8 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from stochmap.grid import Grid, NonFiniteError, ScalarField, TensorClass, VectorField
-from stochmap.calculus import derivative, integrate
+from stochmap.grid import Grid, NonFiniteError, ScalarField, TensorClass, VectorField, stack_members
+from stochmap.calculus import centered_difference, derivative, integrate
 from stochmap.noise import (
     BrownianIncrements,
     ModeSpec,
@@ -32,6 +32,7 @@ from stochmap.models import (
     lu_nform_check,
     salt_increment,
     tsw_deterministic_rhs,
+    tsw_gravity_wave_speed,
     tsw_spde_step,
     two_step_forecast,
 )
@@ -456,6 +457,64 @@ def test_tsw_state_positivity_guard():
         TSWState(ScalarField.constant(g, -1.0), ScalarField.constant(g, 1.0), VectorField.zeros(g))
     with pytest.raises(PositivityError):
         TSWState(ScalarField.constant(g, 1.0), ScalarField.constant(g, 0.0), VectorField.zeros(g))
+
+
+def test_tsw_batch_checks_each_member_and_names_the_first_failing_one():
+    g = grid2(16)
+    rng = np.random.default_rng(8)
+    members = [TSWState(ScalarField(g, 1.0 + 0.1 * rng.random(g.shape)), ScalarField.constant(g, 1.0),
+                        VectorField.from_arrays(g, [rng.normal(size=g.shape) for _ in range(2)]))
+               for _ in range(3)]
+    members[1] = TSWState(members[1].h, members[1].theta, members[1].u * 40.0)   # past its stability bound
+    h, theta, u = (stack_members(list(fields)) for fields in zip(*((s.h, s.theta, s.u) for s in members)))
+    batch = TSWState(h, theta, u)
+    assert list(tsw_gravity_wave_speed(batch)) == [tsw_gravity_wave_speed(s) for s in members]
+    basis = NoiseBasis(g, (), VectorField.zeros(g))
+    with pytest.raises(StabilityError) as single:
+        tsw_spde_step(members[1], TSWParams(), basis, 1e-2, np.random.default_rng(0))
+    with pytest.raises(StabilityError) as batched:
+        tsw_spde_step(batch, TSWParams(), basis, 1e-2, [np.random.default_rng(k) for k in range(3)])
+    assert str(batched.value) == f"member 1: {single.value}"
+    low = h.values.copy()
+    low[2, 3, 4] = -0.5
+    with pytest.raises(PositivityError, match=r"^member 2: layer height lost positivity \(min h = -5\.000e-01\)$"):
+        TSWState(ScalarField(g, low), theta, u)
+    low = theta.values.copy()
+    low[1] = 0.0
+    with pytest.raises(PositivityError, match=r"^member 1: density contrast lost positivity"):
+        TSWState(h, ScalarField(g, low), u)
+
+
+def _plain_tsw_rhs(state, params):
+    """The right-hand side as plain expressions, one fresh array per operation."""
+    h, theta = state.h.values, state.theta.values
+    u = [c.values for c in state.u.components]
+    d = lambda v, p: centered_difference(v, p, state.grid)
+    htheta = h * theta
+    grad_theta = [d(theta, p) for p in range(2)]
+    dh = -(0.0 + d(h * u[0], 0) + d(h * u[1], 1))
+    dtheta = 0.0 - u[0] * grad_theta[0] - u[1] * grad_theta[1]
+    dtheta = dtheta - params.kappa * (htheta - params.h0 * params.theta0)
+    coriolis = (params.fcor * u[1], -params.fcor * u[0])
+    du = [coriolis[j] - d(htheta, j) + 0.5 * h * grad_theta[j] - u[0] * d(u[j], 0) - u[1] * d(u[j], 1)
+          for j in range(2)]
+    return dh, dtheta, du
+
+
+@pytest.mark.parametrize("members", [None, 3])
+def test_tsw_rhs_sums_in_place_have_the_bits_of_the_plain_expressions(members):
+    g = grid2(16)
+    rng = np.random.default_rng(21)
+    shape = g.shape if members is None else (members,) + g.shape
+    state = TSWState(ScalarField(g, 1.0 + 0.2 * rng.random(shape)), ScalarField(g, 1.0 + 0.2 * rng.random(shape)),
+                     VectorField.from_arrays(g, [rng.normal(size=shape) for _ in range(2)]))
+    state.u.components[1].values[..., 0, :] = 0.0     # zeros whose sign the sums from 0.0 fix
+    params = TSWParams(kappa=0.3, h0=1.1, theta0=0.9, fcor=1.7)
+    got = tsw_deterministic_rhs(state, params)
+    dh, dtheta, du = _plain_tsw_rhs(state, params)
+    for a, b in [(got["h"].values, dh), (got["theta"].values, dtheta)] + [
+            (c.values, want) for c, want in zip(got["u"].components, du)]:
+        assert a.tobytes() == b.tobytes()
 
 
 # --- thermal shallow water ---------------------------------------------------------

@@ -82,6 +82,13 @@ def test_sample_increments_deterministic_given_state():
     assert np.array_equal(a.eta, b.eta)
 
 
+def test_sample_increments_of_a_batch_draw_each_member_from_its_own_generator():
+    batch = sample_increments(3, 1e-2, [np.random.default_rng(k) for k in range(4)])
+    assert batch.batch_shape == (4,)
+    for k, eta in enumerate(batch.eta):
+        assert np.array_equal(eta, sample_increments(3, 1e-2, np.random.default_rng(k)).eta)
+
+
 def test_sample_increments_variance():
     rng = np.random.default_rng(7)
     dt = 0.01
