@@ -195,7 +195,6 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
     noise = np.add(grads[0], 0.0, out=grads[0])     # xi.grad f, from 0
     for p in range(1, grid.dim):
         noise += grads[p]
-    del grads    # freed before the divergence and the increment allocate
     if s0:
         div_xi = _d(xi[0], 0, grid)
         div_xi += 0.0

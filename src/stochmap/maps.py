@@ -11,8 +11,9 @@ variant-tensor transport all go through one code path; inverting twice
 restores the original basis and eta exactly.  Its noise displacement is
 exactly -xi, so it reads the forward increment's xi with a sign
 (`DiffeoIncrement.signed_noise`) rather than summing the modes again: its
-guard subtracts xi from the drift, and the noise terms of the operators
-flip their signs; -xi itself is formed only when a caller reads it.  Its basis depends on the
+guard subtracts xi from the drift, and the scalar classes' noise terms
+(`forms._scalar`) flip their signs; -xi itself is formed only when a caller
+reads it.  Its basis depends on the
 forward basis alone and is built once per basis (`NoiseBasis.inverse`); it
 holds no mode arrays of its own and shares the forward basis's sums over
 modes (`NoiseBasis.geometry`).

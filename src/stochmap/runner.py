@@ -6,6 +6,19 @@ the outputs depends on wall-clock time, so identical config plus seed gives
 byte-identical files.
 Ensemble members are independent trajectories with spawned seed streams,
 written to member_### subdirectories.
+
+The members are stepped in batches of `grid.BATCH_POINTS` grid points per
+array (`Grid.members_per_batch`: 4 members at 64^2, one from 128^2 up): one
+step call per batch, on fields with a leading member axis, or on grid-shaped
+fields for a batch of one.  Each member keeps its own seed stream, draws its
+eta in member order, and is recorded and written from its own view of the
+batch, so every file equals the member-by-member run byte for byte.
+
+A batch aborts as a whole at the first step N at which a guard fails on one
+of its members.  The message names that member by its ensemble index
+(``step N: member k: ...``).  Every member of the batch keeps its CSVs
+through step N-1, the earlier batches have completed, and the later
+batches never start.
 """
 from __future__ import annotations
 

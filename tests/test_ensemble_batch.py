@@ -206,9 +206,10 @@ def test_positivity_abort_names_its_ensemble_member(tmp_path):
         run_simulation(cfg)
 
 
-# measured: 12.55 arrays of 128 KB above what is live before the step; the
-# structural floor is 11 (xi, the four post-Euler fields and the five arrays
-# of the u 0-form's assembly), plus eta, the guards' maxima and small objects
+# measured: 12.55 arrays of 128 KB above what is live before the step.  The
+# high-water is the 0-form of u_y: xi (2), the new h and Theta (2), the
+# post-Euler u (2), the new u_x (1) and the five arrays of the assembly, plus
+# eta, the guards' maxima and small objects.
 BATCHED_STEP_ARRAYS = 12.6
 
 
