@@ -160,7 +160,7 @@ def _assert_batch_abort(tmp_path, cfg, batch, expect_member):
     member-by-member loop predicts: at the first step N that fails a member
     of the batch, naming the first such member; every member of the batch
     keeps N rows of each series, earlier batches are complete, and later
-    batches never start."""
+    batches never start.  Returns the abort message."""
     failures = {k: run_member(cfg, k, tmp_path / "ref" / f"member_{k:03d}") for k in batch}
     step = min(f[0] for f in failures.values() if f is not None)
     member = min(k for k, f in failures.items() if f is not None and f[0] == step)
@@ -179,20 +179,22 @@ def _assert_batch_abort(tmp_path, cfg, batch, expect_member):
         for name in names:
             lines = (member_dir / name).read_text().splitlines()
             assert len(lines) == 1 + rows, (k, name)
-    return step
+    return str(info.value)
 
 
 def test_step_size_abort_in_a_later_batch_names_its_ensemble_member(tmp_path):
     # the second batch (members 4 and 5) fails first at step 4, in member 5;
     # the first batch completes its 12 steps
     cfg = load("tsw.cfg", tmp_path, ["run.ensemble=6", "noise.safety=0.35", "run.seed=5", "run.n_steps=12"])
-    assert _assert_batch_abort(tmp_path, cfg, [4, 5], expect_member=5) == 4
+    message = _assert_batch_abort(tmp_path, cfg, [4, 5], expect_member=5)
+    assert message.startswith("step 4: member 5: max displacement")
 
 
 def test_step_size_abort_in_the_first_batch_stops_the_run(tmp_path):
     # member 3 fails at step 6, so members 4 and 5 never start
     cfg = load("tsw.cfg", tmp_path, ["run.ensemble=6", "noise.safety=0.35", "run.seed=6", "run.n_steps=12"])
-    assert _assert_batch_abort(tmp_path, cfg, [0, 1, 2, 3], expect_member=3) == 6
+    message = _assert_batch_abort(tmp_path, cfg, [0, 1, 2, 3], expect_member=3)
+    assert message.startswith("step 6: member 3: max displacement")
 
 
 def test_positivity_abort_names_its_ensemble_member(tmp_path):
@@ -200,10 +202,8 @@ def test_positivity_abort_names_its_ensemble_member(tmp_path):
     # height goes negative at step 28, before any other member fails a guard
     cfg = load("tsw.cfg", tmp_path, ["run.ensemble=4", "run.dt=2e-2", "tsw.ic_amplitude=0.99",
                                      "noise.safety=4", "run.seed=3", "run.n_steps=30"])
-    step = _assert_batch_abort(tmp_path, cfg, [0, 1, 2, 3], expect_member=1)
-    assert step == 28
-    with pytest.raises(RuntimeAbort, match=r"^step 28: member 1: layer height lost positivity"):
-        run_simulation(cfg)
+    message = _assert_batch_abort(tmp_path, cfg, [0, 1, 2, 3], expect_member=1)
+    assert message.startswith("step 28: member 1: layer height lost positivity")
 
 
 # measured: 12.55 arrays of 128 KB above what is live before the step.  The
