@@ -17,7 +17,6 @@ from .calculus import (
     gradient,
     integrate,
     sample_at,
-    sample_vector_at,
     second_derivative,
 )
 from .noise import (

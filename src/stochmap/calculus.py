@@ -15,8 +15,17 @@ holds exactly for the centered difference D, which is what makes the
 flux-form conservation checks close to round-off.
 
 Point evaluation (`sample_at`) is separable Catmull-Rom cubic interpolation;
-it reproduces node values exactly and is fourth-order accurate at cell
-midpoints.
+it reproduces node values (exactly in exact arithmetic: ``x_k / h`` need not
+round to ``k``) and is fourth-order accurate at cell midpoints.  Each point
+set gets one stencil (`_stencil`): per axis the Catmull-Rom weights and the
+wrapped base node, folded into one flat index per stencil entry into the
+field padded periodically by one node before and two after each axis.  Every
+field sampled, a scalar or each component of a vector field, is padded once
+per call and gathered through that index with one flat `take`, then
+contracted with the weights by the same `einsum` as a fancy-indexed gather,
+with the same bits.  Points are taken in chunks of a fixed number of stencil
+entries (2^19: 2^15 points in 2D, 8192 in 3D), which bounds the index and
+gather temporaries.
 """
 from __future__ import annotations
 
@@ -24,7 +33,11 @@ import numpy as np
 
 from .grid import Array, Grid, ScalarField, VectorField
 
-_CHUNK = 1 << 15  # points per interpolation chunk, bounds gather temporaries
+# Stencil entries per interpolation chunk: 2^15 points in 2D, 8192 in 3D.  A
+# chunk's flat index and gathered values (8 MB together) stay under the
+# gathered array of a 2^15-point 3D chunk gathered by fancy indexing.
+_STENCIL_ENTRIES = 1 << 19
+_EINSUM = {1: "na,na->n", 2: "nab,na,nb->n", 3: "nabc,na,nb,nc->n"}
 
 
 def _axis_slices(axis: int) -> tuple[tuple[slice, ...], ...]:
@@ -132,51 +145,48 @@ def _catmull_rom_weights(t: Array) -> Array:
     )
 
 
-def sample_at(f: ScalarField, points: Array) -> Array:
+def sample_at(f: ScalarField | VectorField, points: Array) -> Array:
     """Evaluate ``f`` at arbitrary points (wrapped periodically).
 
-    ``points`` has shape (N, dim); returns shape (N,).
+    ``points`` has shape (N, dim); returns shape (N,) for a ScalarField and
+    (N, dim) for a VectorField, whose components share one stencil.
     """
-    f.require_single_member("sample_at")
+    vector = isinstance(f, VectorField)
+    comps = f.components if vector else (f,)
+    for c in comps:
+        c.require_single_member("sample_at")
     grid = f.grid
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[-1] != grid.dim:
         raise ValueError(f"points must have {grid.dim} columns")
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _CHUNK):
-        sl = slice(start, min(start + _CHUNK, pts.shape[0]))
-        out[sl] = _sample_chunk(f.values, grid, pts[sl])
-    return out
+    padded = [np.pad(c.values, [(1, 2)] * grid.dim, mode="wrap").ravel() for c in comps]
+    subscripts = _EINSUM[grid.dim]
+    chunk = _STENCIL_ENTRIES // 4**grid.dim
+    out = np.empty((pts.shape[0], len(comps)))
+    for start in range(0, pts.shape[0], chunk):
+        sl = slice(start, min(start + chunk, pts.shape[0]))
+        lin, wts = _stencil(grid, pts[sl])
+        for k, values in enumerate(padded):
+            out[sl, k] = np.einsum(subscripts, values.take(lin), *wts)
+    return out if vector else out[:, 0]
 
 
-def sample_vector_at(v: VectorField, points: Array) -> Array:
-    """Per-component sample_at; returns shape (N, dim)."""
-    return np.stack([sample_at(c, points) for c in v.components], axis=-1)
+def _stencil(grid: Grid, pts: Array) -> tuple[Array, list[Array]]:
+    """The 4**dim padded flat indices of each point's stencil, shape
+    (N, 4, ..., 4), and its per-axis Catmull-Rom weights, each (N, 4).
 
-
-def _sample_chunk(values: Array, grid: Grid, pts: Array) -> Array:
-    idx = []
+    Node ``base - 1 + a`` on an axis of n nodes sits at ``mod(base, n) + a``
+    in an array padded by one node before and two after."""
+    lin = np.zeros(pts.shape[0], dtype=np.int64)
     wts = []
     for p in range(grid.dim):
-        h = grid.spacing[p]
-        n = grid.shape[p]
-        xi = pts[:, p] / h
+        xi = pts[:, p] / grid.spacing[p]
         base = np.floor(xi).astype(np.int64)
-        t = xi - base
-        idx.append(np.mod(base[:, None] + np.arange(-1, 3), n))
-        wts.append(_catmull_rom_weights(t))
-    if grid.dim == 1:
-        gathered = values[idx[0]]
-        return np.einsum("na,na->n", gathered, wts[0])
-    if grid.dim == 2:
-        gathered = values[idx[0][:, :, None], idx[1][:, None, :]]
-        return np.einsum("nab,na,nb->n", gathered, wts[0], wts[1])
-    gathered = values[
-        idx[0][:, :, None, None],
-        idx[1][:, None, :, None],
-        idx[2][:, None, None, :],
-    ]
-    return np.einsum("nabc,na,nb,nc->n", gathered, wts[0], wts[1], wts[2])
+        wts.append(_catmull_rom_weights(xi - base))
+        lin = lin * (grid.shape[p] + 3) + np.mod(base, grid.shape[p])
+    padded_shape = tuple(n + 3 for n in grid.shape)
+    offsets = np.ravel_multi_index(np.indices((4,) * grid.dim), padded_shape)
+    return lin.reshape((-1,) + (1,) * grid.dim) + offsets, wts
 
 
 def _check_axis(grid: Grid, axis: int) -> None:

@@ -399,7 +399,7 @@ def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
     if theta_class is TensorClass.ONE_FORM:
         fwd = forward_map(d, pts)
         jac = map_jacobian(d)
-        sampled = [sample_at(c, fwd).reshape(grid.shape) for c in fields.components]
+        sampled = [column.reshape(grid.shape) for column in sample_at(fields, fwd).T]
         comps = []
         for j in range(grid.dim):
             acc = np.zeros(grid.shape)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import sample_vector_at
+from .calculus import sample_at
 from .grid import Array, VectorField, member_error, reworded
 from .noise import BrownianIncrements, NoiseBasis, sample_increments
 
@@ -167,7 +167,7 @@ def forward_map(d: DiffeoIncrement, points: Array) -> Array:
     """
     require_single_member(d, "forward_map")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return d.grid.wrap(pts + sample_vector_at(displacement_field(d), pts))
+    return d.grid.wrap(pts + sample_at(displacement_field(d), pts))
 
 
 def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stochmap.grid import Grid, NonFiniteError, ScalarField, VectorField, stack_members
 from stochmap.calculus import (
+    _catmull_rom_weights,
     centered_difference,
     curl,
     derivative,
@@ -273,6 +276,84 @@ def test_sample_3d_nodes_exact():
     f = ScalarField(g, rng.standard_normal(g.shape))
     got = sample_at(f, g.points())
     assert np.allclose(got, f.values.reshape(-1), atol=1e-13)
+
+
+def _fancy_index_sample(f, pts, chunk=1 << 15):
+    """The kernel as it was before the shared stencil: per-axis wrapped index
+    and weight tables, one fancy-indexed gather per field, 2^15 points per
+    chunk in every dimension."""
+    grid = f.grid
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], chunk):
+        sl = slice(start, min(start + chunk, pts.shape[0]))
+        idx, wts = [], []
+        for p in range(grid.dim):
+            xi = pts[sl, p] / grid.spacing[p]
+            base = np.floor(xi).astype(np.int64)
+            idx.append(np.mod(base[:, None] + np.arange(-1, 3), grid.shape[p]))
+            wts.append(_catmull_rom_weights(xi - base))
+        if grid.dim == 1:
+            out[sl] = np.einsum("na,na->n", f.values[idx[0]], *wts)
+        elif grid.dim == 2:
+            out[sl] = np.einsum("nab,na,nb->n", f.values[idx[0][:, :, None], idx[1][:, None, :]], *wts)
+        else:
+            gathered = f.values[idx[0][:, :, None, None], idx[1][:, None, :, None], idx[2][:, None, None, :]]
+            out[sl] = np.einsum("nabc,na,nb,nc->n", gathered, *wts)
+    return out
+
+
+@pytest.mark.parametrize("shape, extents", [
+    ((16,), (1.0,)), ((7,), (3.0,)),
+    ((16, 16), (TWO_PI, TWO_PI)), ((12, 9), (2.0, 5.0)),
+    ((8, 8, 8), (1.0, 1.0, 1.0)), ((6, 9, 5), (1.0, 2.5, 0.7)),
+])
+def test_sample_at_is_bitwise_the_fancy_index_kernel(shape, extents):
+    # the padded flat gather reads the same node values in the same order,
+    # so every result keeps its bits: at nodes, inside, far outside the
+    # domain, and over more points than one chunk (2^17 points in 1D, 2^15
+    # in 2D, 8192 in 3D)
+    rng = np.random.default_rng(12)
+    g = Grid(shape, extents)
+    f = ScalarField(g, rng.standard_normal(shape))
+    ell = np.asarray(extents)
+    point_sets = {
+        "nodes": g.points(),
+        "inside": rng.uniform(0.0, 1.0, (300, g.dim)) * ell,
+        "outside": rng.uniform(-50.0, 50.0, (300, g.dim)) * ell,
+        "negative": -rng.uniform(0.0, 3.0, (300, g.dim)) * ell,
+        "many": rng.uniform(-1.0, 2.0, (140_000, g.dim)) * ell,
+    }
+    for name, pts in point_sets.items():
+        assert np.array_equal(sample_at(f, pts), _fancy_index_sample(f, pts)), name
+
+
+def test_sample_at_of_a_vector_field_stacks_its_components():
+    rng = np.random.default_rng(13)
+    for g in (Grid((12, 9), (2.0, 5.0)), Grid((6, 9, 5), (1.0, 2.5, 0.7))):
+        v = VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(g.dim)])
+        pts = rng.uniform(-2.0, 2.0, (20_000, g.dim)) * np.asarray(g.extents)
+        got = sample_at(v, pts)
+        assert got.shape == (20_000, g.dim)
+        assert np.array_equal(got, np.stack([sample_at(c, pts) for c in v.components], axis=-1))
+    batch = stack_members([v, v])
+    with pytest.raises(ValueError, match="sample_at takes one member"):
+        sample_at(batch, pts[:3])
+
+
+def test_sample_at_3d_memory_stays_under_the_old_gathered_array():
+    # 46^3 nodes span twelve 8192-point chunks; the fancy-index kernel's
+    # gathered values alone took 2^15 points x 64 entries x 8 bytes per chunk
+    g = Grid((46, 46, 46), (1.0, 1.0, 1.0))
+    f = ScalarField(g, np.random.default_rng(14).standard_normal(g.shape))
+    pts = g.points()
+    old_gathered = (1 << 15) * 4**3 * 8
+    tracemalloc.start()
+    try:
+        sample_at(f, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= old_gathered
 
 
 def test_a_batch_measures_each_member_and_names_a_non_finite_one():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochmap.calculus import sample_vector_at
+from stochmap.calculus import sample_at
 from stochmap.convergence import make_scene_2d, make_scene_3d
 from stochmap.forms import pushforward_nvector
 from stochmap.grid import Grid, ScalarField, VectorField
@@ -317,9 +317,9 @@ def test_forward_map_off_nodes_is_the_interpolated_map(scene):
     rng = np.random.default_rng(3)
     d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.sqrt(1e-3) * rng.standard_normal(basis.n_modes)))
     pts = rng.uniform(0.0, 1.0, (500, g.dim)) * np.asarray(g.extents)
-    expect = pts + d.dt * sample_vector_at(basis.drift, pts)
+    expect = pts + d.dt * sample_at(basis.drift, pts)
     for e, eta in zip(basis.modes, d.increments.eta):
-        expect = expect + eta * sample_vector_at(e, pts)
+        expect = expect + eta * sample_at(e, pts)
     got = forward_map(d, pts)
     assert np.all((got >= 0.0) & (got < np.asarray(g.extents)))
     assert np.abs(g.wrap_displacement(got - expect)).max() < 1e-14
