@@ -255,9 +255,8 @@ def metric_mismatch_nvector(scene: Scene2D, d: DiffeoIncrement):
 
 
 def metric_composition(scene: Scene2D, d: DiffeoIncrement):
-    pts = scene.grid.points()
-    roundtrip = forward_map(d, inverse_map(d, pts))
-    return scene.grid.wrap_displacement(roundtrip - pts)
+    roundtrip = forward_map(d, inverse_map(d))
+    return scene.grid.wrap_displacement(roundtrip - scene.grid.points())
 
 
 def metric_drift_int_fg(scene: Scene2D, d: DiffeoIncrement):
@@ -277,8 +276,7 @@ def metric_pairing_pointwise(scene: Scene2D, d: DiffeoIncrement):
     rf, rg = perturb_mixed_pair(scene.fn, scene.gv, d)
     fh = scene.fn + rf.realized
     gh = scene.gv + rg.realized
-    inv = inverse_map(d, scene.grid.points())
-    return sample_at(fh * gh, inv).reshape(scene.grid.shape) - (scene.fn * scene.gv).values
+    return sample_at(fh * gh, inverse_map(d)).reshape(scene.grid.shape) - (scene.fn * scene.gv).values
 
 
 def metric_vorticity_commutation(scene: Scene2D, d: DiffeoIncrement):

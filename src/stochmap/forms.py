@@ -386,18 +386,17 @@ def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
     """
     require_single_member(d, "oracle_remap")
     grid = d.grid
-    pts = grid.points()
     if theta_class is TensorClass.ZERO_FORM:
-        fwd = forward_map(d, pts)
+        fwd = forward_map(d)
         return fields.with_values(sample_at(fields, fwd).reshape(grid.shape))
     if theta_class is TensorClass.VOLUME_FORM:
         return jacobian_determinant(d)
     if theta_class is TensorClass.N_FORM:
-        fwd = forward_map(d, pts)
+        fwd = forward_map(d)
         det = jacobian_determinant(d)
         return fields.with_values(sample_at(fields, fwd).reshape(grid.shape) * det.values)
     if theta_class is TensorClass.ONE_FORM:
-        fwd = forward_map(d, pts)
+        fwd = forward_map(d)
         jac = map_jacobian(d)
         sampled = [column.reshape(grid.shape) for column in sample_at(fields, fwd).T]
         comps = []
@@ -408,7 +407,7 @@ def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
             comps.append(acc)
         return VectorField.from_arrays(grid, comps)
     if theta_class is TensorClass.N_VECTOR:
-        inv = inverse_map(d, pts)
+        inv = inverse_map(d)
         det = jacobian_determinant(d)
         gvals = sample_at(fields, inv).reshape(grid.shape)
         dvals = sample_at(det, inv).reshape(grid.shape)

@@ -126,9 +126,15 @@ class Grid:
         return np.stack([c.reshape(-1) for c in self.coords()], axis=-1)
 
     def wrap(self, points: Array) -> Array:
-        """Map arbitrary points into the fundamental domain [0, L_p)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return np.mod(pts, np.asarray(self.extents))
+        """Map arbitrary points into the fundamental domain [0, L_p).
+
+        ``mod`` rounds a tiny negative coordinate up to ``L_p`` itself
+        (``np.mod(-1e-17, 2 pi) == 2 pi``); such an entry becomes 0.0, the
+        same point of the torus."""
+        ell = np.asarray(self.extents)
+        out = np.mod(np.asarray(points, dtype=np.float64), ell)
+        out[out == ell] = 0.0
+        return out
 
     def wrap_displacement(self, disp: Array) -> Array:
         """Wrap displacement vectors to the nearest-image representative."""

@@ -157,17 +157,27 @@ def displacement_field(d: DiffeoIncrement) -> VectorField:
         d.grid, [c.values * d.dt + xi for c, xi in zip(d.basis.drift.components, d.noise_displacement)])
 
 
-def forward_map(d: DiffeoIncrement, points: Array) -> Array:
-    """T(points), wrapped back into the fundamental domain.
+def forward_map(d: DiffeoIncrement, points: Array | None = None) -> Array:
+    """T(points), wrapped back into the fundamental domain, shape (N, dim).
 
-    The node displacement `displacement_field` is cubic-interpolated at the
-    given points, which is exact when the points are grid nodes.  The
-    interpolation is linear in the node values, so this is the map of the
-    interpolated drift and modes.
+    Without ``points``, T at the grid nodes in C order: the nodes plus the
+    node displacement `displacement_field` itself, which is the definition of
+    T there, with no interpolation.  Given points, the node displacement is
+    cubic-interpolated at them.  The interpolation is linear in the node
+    values, so this is the map of the interpolated drift and modes.
+
+    Passing ``grid.points()`` explicitly still interpolates, and agrees with
+    the node form only to round-off (up to 1e-13 at 256^2): ``x_k / h`` does
+    not always round to ``k``, and Catmull-Rom reproduces node values
+    exactly only in exact arithmetic.
     """
     require_single_member(d, "forward_map")
+    disp = displacement_field(d)
+    if points is None:
+        at_nodes = np.stack([c.values.reshape(-1) for c in disp.components], axis=-1)
+        return d.grid.wrap(d.grid.points() + at_nodes)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return d.grid.wrap(pts + sample_at(displacement_field(d), pts))
+    return d.grid.wrap(pts + sample_at(disp, pts))
 
 
 def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:
@@ -182,15 +192,15 @@ def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:
         raise reworded(err, "inverse map: ") from None
 
 
-def inverse_map(d: DiffeoIncrement, points: Array) -> Array:
+def inverse_map(d: DiffeoIncrement, points: Array | None = None) -> Array:
+    """T^{-1}(points); without ``points``, at the grid nodes (`forward_map`)."""
     return forward_map(inverse_increment(d), points)
 
 
 def composition_residual(d: DiffeoIncrement) -> float:
     """RMS over nodes of the periodic distance |T(T^{-1}(x)) - x|."""
-    pts = d.grid.points()
-    roundtrip = forward_map(d, inverse_map(d, pts))
-    delta = d.grid.wrap_displacement(roundtrip - pts)
+    roundtrip = forward_map(d, inverse_map(d))
+    delta = d.grid.wrap_displacement(roundtrip - d.grid.points())
     return float(np.sqrt(np.mean(np.sum(delta**2, axis=-1))))
 
 

@@ -87,9 +87,8 @@ def verify_suite(config: RunConfig, *, include_slow: bool = True) -> list[CheckR
     # pure noise shift under this drift; both break together if the installed
     # drift is wrong.
     disc0 = lu_discrepancy_0form(d_lu, f)
-    pts = grid.points()
-    inv = inverse_map(d_lu, pts)
-    expect = pts.copy()
+    inv = inverse_map(d_lu)
+    expect = grid.points()
     for e, eta in zip(d_lu.basis.modes, d_lu.increments.eta):
         expect = expect - float(eta) * np.stack(
             [c.values.reshape(-1) for c in e.components], axis=-1

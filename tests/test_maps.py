@@ -309,6 +309,61 @@ def test_forward_map_wraps_into_domain():
     assert np.all(got < TWO_PI)
 
 
+def test_wrap_maps_tiny_negative_coordinates_to_zero():
+    # np.mod(-1e-17, L) rounds to L itself; the domain is [0, L) on every axis
+    for g in (Grid((64, 64), (TWO_PI, TWO_PI)), Grid((8, 6, 5), (1.0, 2.5, 0.7)), Grid((16,), (3.0,))):
+        ell = np.asarray(g.extents)
+        assert np.all(np.mod(np.full(g.dim, -1e-17), ell) == ell)
+        tiny = np.array([[-1e-17] * g.dim, [-1e-300] * g.dim, [-5e-324] * g.dim])
+        assert np.array_equal(g.wrap(tiny), np.zeros((3, g.dim)))
+        mixed = np.array([[-1e-17] + [0.5] * (g.dim - 1), [-0.25] * g.dim])
+        assert np.array_equal(g.wrap(mixed), np.array([[0.0] + [0.5] * (g.dim - 1), list(ell - 0.25)]))
+
+
+def _scene_increment(scene, seed=3):
+    rng = np.random.default_rng(seed)
+    n_modes = scene.basis.n_modes
+    return DiffeoIncrement(scene.basis, BrownianIncrements(dt=1e-3, eta=np.sqrt(1e-3) * rng.standard_normal(n_modes)))
+
+
+@pytest.mark.parametrize("scene", [make_scene_2d(64), make_scene_3d(16)], ids=["2d", "3d"])
+def test_node_map_is_the_node_displacement(scene):
+    # without points, T at the nodes is the nodes plus the node displacement,
+    # with no interpolation; interpolating at the node coordinates agrees to
+    # round-off; the same for T^-1
+    g = scene.grid
+    d = _scene_increment(scene)
+    for mapped, node_inc in ((forward_map, d), (inverse_map, inverse_increment(d))):
+        disp = np.stack([c.values.reshape(-1) for c in displacement_field(node_inc).components], axis=-1)
+        got = mapped(d)
+        assert np.array_equal(got, g.wrap(g.points() + disp))
+        assert np.abs(g.wrap_displacement(got - mapped(d, g.points()))).max() < 1e-12
+        assert np.all((got >= 0.0) & (got < np.asarray(g.extents)))
+
+
+def test_node_map_stays_below_the_extent():
+    # a node at 0 displaced by a tiny negative amount wraps to 0.0, not to L
+    g = coarse_grid()
+    basis = NoiseBasis(g, (), VectorField.constant(g, (-1e-16, -1e-16)))
+    d = DiffeoIncrement(basis, BrownianIncrements(dt=0.1, eta=np.zeros(0)))
+    got = forward_map(d)
+    assert np.all((got >= 0.0) & (got < TWO_PI))
+    assert np.array_equal(got[0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("scene", [make_scene_2d(32), make_scene_2d(64), make_scene_3d(16)],
+                         ids=["2d-32", "2d-64", "3d"])
+def test_composition_residual_at_nodes_matches_the_interpolated_inner_map(scene):
+    # the inner map read at the nodes moves the residual by round-off only,
+    # against the inner map interpolated at the node coordinates
+    g = scene.grid
+    d = _scene_increment(scene)
+    pts = g.points()
+    interpolated = np.sqrt(np.mean(np.sum(g.wrap_displacement(forward_map(d, inverse_map(d, pts)) - pts) ** 2,
+                                          axis=-1)))
+    assert abs(composition_residual(d) - interpolated) < 1e-12
+
+
 @pytest.mark.parametrize("scene", [make_scene_2d(32), make_scene_3d(16)], ids=["2d", "3d"])
 def test_forward_map_off_nodes_is_the_interpolated_map(scene):
     # the one interpolated node displacement equals T with every coefficient
