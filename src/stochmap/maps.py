@@ -167,7 +167,7 @@ def forward_map(d: DiffeoIncrement, points: Array | None = None) -> Array:
     values, so this is the map of the interpolated drift and modes.
 
     Passing ``grid.points()`` explicitly still interpolates, and agrees with
-    the node form only to round-off (up to 1e-13 at 256^2): ``x_k / h`` does
+    the node form only to round-off (9.7e-14 at 256^2): ``x_k / h`` does
     not always round to ``k``, and Catmull-Rom reproduces node values
     exactly only in exact arithmetic.
     """
