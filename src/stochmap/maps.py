@@ -30,6 +30,12 @@ the max of the norms bit for bit.  It fails iff some member's own guard
 would fail, and its message names the first such member
 (`grid.member_error`).  The node-by-node
 map (`forward_map`, and so `inverse_map`) takes one member at a time.
+
+At the grid nodes the map is its definition, the nodes plus the node
+displacement a dt + xi (`displacement_field`): `forward_map(d)` and
+`inverse_map(d)`, with no points, read it there with no interpolation.  At
+other points the node displacement is interpolated (`calculus.sample_at`),
+as for the outer map of a composition T(T^{-1}(x)).
 """
 from __future__ import annotations
 
