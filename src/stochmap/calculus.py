@@ -1,9 +1,10 @@
 """Discrete calculus on periodic grids.
 
 Centered second-order stencils throughout, all from the one periodic kernel
-`centered_difference` on raw arrays.  The kernel indexes its input and output
-with slice tuples precomputed per array axis, so a call costs three
-`np.subtract`s and one division, with no axis reordering.  A grid axis is
+`centered_difference` on raw arrays.  On a C-contiguous input a call costs
+one subtraction over the flattened array, two periodic slices for the first
+and last node and one division, with no axis reordering and no copy; any other
+input takes slice tuples precomputed per array axis.  A grid axis is
 counted from the trailing end of the array (array axis
 ``v.ndim - grid.dim + axis``), so an array with a leading member axis (see
 `grid`) is differenced member by member, with the bits of each member's own
@@ -55,12 +56,31 @@ _SLICES = tuple(_axis_slices(axis) for axis in range(4))
 
 def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
     """Periodic (v[k+1] - v[k-1]) / (2h) along grid axis ``axis`` of a raw
-    array, by slices; a leading member axis rides along."""
+    array, subtracted in float64; a leading member axis rides along.
+
+    A C-contiguous input is differenced on its flattened values, ``s``
+    elements apart for an axis stride of ``s`` elements.  That one
+    subtraction mixes two rows only at the first and last node along the
+    axis, which the two periodic slices then overwrite.  Any other input
+    takes the interior slice."""
+    a = v.ndim - grid.dim + axis
     out = np.empty(v.shape)
-    up, down, inner, second, last, first, next_to_last = _SLICES[v.ndim - grid.dim + axis]
-    np.subtract(v[up], v[down], out=out[inner])
-    np.subtract(v[second], v[last], out=out[first])
-    np.subtract(v[first], v[next_to_last], out=out[last])
+    up, down, inner, second, last, first, next_to_last = _SLICES[a]
+    src, dst = v, out
+    if v.flags.c_contiguous:
+        s = v.strides[a] // v.itemsize
+        flat, flat_out = v.reshape(-1), out.reshape(-1)
+        np.subtract(flat[2 * s:], flat[:-2 * s], out=flat_out[s:-s], dtype=np.float64)
+        if s == 1:
+            # the trailing axis: each end node is one strided run of the flat array
+            n = v.shape[-1]
+            src, dst = flat, flat_out
+            second, last, first, next_to_last = (slice(1, None, n), slice(n - 1, None, n),
+                                                 slice(0, None, n), slice(n - 2, None, n))
+    else:
+        np.subtract(v[up], v[down], out=out[inner], dtype=np.float64)
+    np.subtract(src[second], src[last], out=dst[first], dtype=np.float64)
+    np.subtract(src[first], src[next_to_last], out=dst[last], dtype=np.float64)
     out /= 2.0 * grid.spacing[axis]
     return out
 

@@ -98,6 +98,67 @@ def test_centered_difference_of_a_member_stack_is_per_member(shape):
             assert np.array_equal(got[k], centered_difference(stack[k], axis, g))
 
 
+def _layouts():
+    # inputs that are not C-contiguous, so they take the interior-slice path
+    rng = np.random.default_rng(11)
+    yield "fortran", (8, 12), np.asfortranarray(rng.standard_normal((8, 12)))
+    yield "fortran_3d", (5, 6, 9), np.asfortranarray(rng.standard_normal((5, 6, 9)))
+    yield "strided", (6, 9), rng.standard_normal((12, 18))[::2, 1::2]
+    yield "stack_strided", (8, 12), rng.standard_normal((6, 8, 12))[::2]
+    yield "stack_fortran", (6, 8, 10), np.asfortranarray(rng.standard_normal((3, 6, 8, 10)))
+    yield "stack_of_strided", (8, 12), rng.standard_normal((3, 8, 24))[:, :, ::2]
+
+
+@pytest.mark.parametrize("name, shape, v", list(_layouts()), ids=[c[0] for c in _layouts()])
+def test_centered_difference_of_any_layout_is_bitwise_its_contiguous_copy(name, shape, v):
+    assert not v.flags.c_contiguous
+    g = Grid(shape, tuple(1.0 + 0.5 * p for p in range(len(shape))))
+    for axis in range(len(shape)):
+        assert np.array_equal(centered_difference(v, axis, g),
+                              centered_difference(np.ascontiguousarray(v), axis, g))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+@pytest.mark.parametrize("shape", [(16,), (8, 12), (6, 8, 10), (3, 8, 12)],
+                         ids=["1d", "2d", "3d", "stack"])
+def test_centered_difference_of_int_and_float32_is_the_float64_result(shape, dtype):
+    # the flat subtraction steps by the axis stride in elements of the input's
+    # own item size, and every subtraction runs in float64
+    rng = np.random.default_rng(12)
+    v = (rng.integers(-1000, 1000, shape) if dtype is np.int64
+         else rng.standard_normal(shape)).astype(dtype)
+    grid_shape = shape[1:] if shape == (3, 8, 12) else shape
+    g = Grid(grid_shape, tuple(1.0 + 0.5 * p for p in range(len(grid_shape))))
+    for axis in range(len(grid_shape)):
+        got = centered_difference(v, axis, g)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, centered_difference(v.astype(np.float64), axis, g))
+
+
+@pytest.mark.parametrize("shape, grid_shape", [((128, 128), (128, 128)),
+                                               ((4, 64, 64), (64, 64)),
+                                               ((24, 24, 24), (24, 24, 24))])
+def test_centered_difference_allocates_only_its_output(shape, grid_shape):
+    # a C-contiguous input is differenced through its flattened view: no
+    # contiguous copy and no temporary the size of the array.  Along an axis
+    # with array axes on both sides (a member stack's first grid axis, a 3D
+    # grid's middle axis) each end node is a 2D plane, for which numpy's ufunc
+    # iterator holds buffers for the three operands, under four planes in all
+    v = np.random.default_rng(13).standard_normal(shape)
+    g = Grid(grid_shape, (TWO_PI,) * len(grid_shape))
+    for axis in range(len(grid_shape)):
+        a = v.ndim - g.dim + axis
+        centered_difference(v, axis, g)  # numpy's first-call caches are not the call's
+        tracemalloc.start()
+        try:
+            out = centered_difference(v, axis, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        planes = 4 if 0 < a < v.ndim - 1 else 0
+        assert peak <= out.nbytes + 1024 + planes * out.nbytes // v.shape[a]
+
+
 def test_a_field_takes_at_most_one_member_axis_and_measures_one_member(tmp_path):
     # values (members, *grid.shape) are a batch; a second leading axis is an
     # error, and what measures or writes one field refuses a batch
