@@ -3,8 +3,8 @@
 Centered second-order stencils throughout, all from the one periodic kernel
 `centered_difference` on raw arrays.  On a C-contiguous input a call costs
 one subtraction over the flattened array, two periodic slices for the first
-and last node and one division, with no axis reordering and no copy; any other
-input takes slice tuples precomputed per array axis.  A grid axis is
+and last node and one multiply by 1/(2h), with no axis reordering and no copy;
+any other input takes slice tuples precomputed per array axis.  A grid axis is
 counted from the trailing end of the array (array axis
 ``v.ndim - grid.dim + axis``), so an array with a leading member axis (see
 `grid`) is differenced member by member, with the bits of each member's own
@@ -12,7 +12,7 @@ call.  The summation-by-parts identity
 
     sum_k u_k (D v)_k = -sum_k (D u)_k v_k
 
-holds exactly for the centered difference D, which is what makes the
+holds to round-off for the centered difference D, which is what makes the
 flux-form conservation checks close to round-off.
 
 Point evaluation (`sample_at`) is separable Catmull-Rom cubic interpolation;
@@ -55,8 +55,9 @@ _SLICES = tuple(_axis_slices(axis) for axis in range(4))
 
 
 def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
-    """Periodic (v[k+1] - v[k-1]) / (2h) along grid axis ``axis`` of a raw
-    array, subtracted in float64; a leading member axis rides along.
+    """Periodic (v[k+1] - v[k-1]) * (0.5/h) along grid axis ``axis`` of a raw
+    array, subtracted in float64; a leading member axis rides along.  The
+    multiply is within 1 ulp of a division by 2h.
 
     A C-contiguous input is differenced on its flattened values, ``s``
     elements apart for an axis stride of ``s`` elements.  That one
@@ -81,7 +82,7 @@ def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
         np.subtract(v[up], v[down], out=out[inner], dtype=np.float64)
     np.subtract(src[second], src[last], out=dst[first], dtype=np.float64)
     np.subtract(src[first], src[next_to_last], out=dst[last], dtype=np.float64)
-    out /= 2.0 * grid.spacing[axis]
+    out *= 0.5 / grid.spacing[axis]
     return out
 
 

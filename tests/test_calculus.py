@@ -70,8 +70,8 @@ STRIDED = "strided_view"
 
 @pytest.mark.parametrize("shape", [(7,), (8, 12), (5, 6, 9), (4, 4, 4), STRIDED])
 def test_centered_difference_equals_shifted_copy_formula(shape):
-    # reference: the same (v[k+1] - v[k-1]) / (2h) built from rolled copies;
-    # the slice kernel performs the identical operations, so equality is exact
+    # reference: the same (v[k+1] - v[k-1]) * (0.5/h) built from rolled copies;
+    # the kernel performs the identical operations, so equality is exact
     if shape == STRIDED:
         # every other plane of a larger array with its axes reversed: a view
         # that is contiguous in neither C nor Fortran order
@@ -82,8 +82,24 @@ def test_centered_difference_equals_shifted_copy_formula(shape):
         v = np.random.default_rng(len(shape)).standard_normal(shape)
     g = Grid(shape, tuple(1.0 + 0.5 * p for p in range(len(shape))))
     for axis in range(len(shape)):
-        ref = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * g.spacing[axis])
+        ref = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) * (0.5 / g.spacing[axis])
         assert np.array_equal(centered_difference(v, axis, g), ref)
+
+
+@pytest.mark.parametrize("shape", [(7,), (8, 12), (5, 6, 9), (4, 4, 4), STRIDED])
+def test_centered_difference_is_within_an_ulp_of_the_division_form(shape):
+    # the kernel multiplies by 1/(2h); dividing by 2h rounds differently by at
+    # most one unit in the last place
+    if shape == STRIDED:
+        v = np.random.default_rng(5).standard_normal((12, 6, 9))[::2, :, 1::2].transpose(2, 1, 0)
+        shape = v.shape
+    else:
+        v = np.random.default_rng(len(shape)).standard_normal(shape)
+    g = Grid(shape, tuple(1.0 + 0.5 * p for p in range(len(shape))))
+    for axis in range(len(shape)):
+        division = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * g.spacing[axis])
+        got = centered_difference(v, axis, g)
+        assert np.all(np.abs(got - division) <= np.spacing(np.abs(division)))
 
 
 @pytest.mark.parametrize("shape", [(16,), (8, 12), (6, 8, 10)], ids=["1d", "2d", "3d"])
