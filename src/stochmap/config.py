@@ -215,6 +215,7 @@ class RunConfig:
             ("n_steps", self.n_steps >= 1, "must be >= 1"),
             ("ensemble", self.ensemble >= 1, "must be >= 1"),
             ("seed", self.seed >= 0, "must be >= 0"),
+            ("safety", self.safety > 0, "must be positive"),
             ("tsw_ic", self.tsw_ic in _TSW_ICS, f"must be one of {_TSW_ICS}"),
             ("drift", not isinstance(self.drift, str) or self.drift in _DRIFTS,
              f"must be one of {_DRIFTS} or mode tables"),

@@ -59,7 +59,16 @@ class Convention(Enum):
 
 
 class StepSizeError(RuntimeError):
-    """Displacement too large for the map to stay a discrete bijection."""
+    """Displacement of some node at or above ``0.5 * min spacing * safety``.
+
+    Below that bound each row of the discrete displacement gradient has a
+    norm under ``safety / 2``, so its 2-norm is under ``sqrt(dim) * safety / 2``,
+    and the map is a discrete bijection (``det J > 0``) only while
+    ``safety < 2 / sqrt(dim)``: 1.41 in 2D, 1.15 in 3D.  At a larger safety a
+    map can fold and pass this guard; a 64^2 grid with one compressive mode at
+    safety 3 gives ``min det J = -0.47``.  ROADMAP.md item 2 ("A bijectivity
+    guard that costs nothing at the default safety") proposes the ``det J``
+    check that would catch it."""
 
 
 @dataclass(frozen=True)

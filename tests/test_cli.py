@@ -61,6 +61,8 @@ def test_simulate_bad_key_is_config_error(tmp_path, capsys):
         (["grid.points=64.9 64"], "[grid] points"),
         (["run.seed=-1"], "[run] seed"),
         (["run.dt=abc"], "[run] dt"),
+        (["noise.safety=0"], "[noise] safety"),
+        (["noise.safety=-1"], "[noise] safety"),
         (["noise.drift={k = [1.5, 0], amp = [0.1, 0]}"], "[noise] drift"),
         (["noise.drift={k = [1, 0], amp = [0.1, 0], bogus = 3}"], "[noise] drift"),
         # values that only the grid shows to be wrong

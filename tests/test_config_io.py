@@ -137,6 +137,8 @@ def test_invalid_drift_string():
     ("grid.points=64.9 64", "[grid] points"),
     ("run.seed=-1", "[run] seed"),
     ("run.dt=abc", "[run] dt"),
+    ("noise.safety=0", "[noise] safety"),      # the step-size guard's bound would be 0
+    ("noise.safety=-1", "[noise] safety"),
     ("tsw.ic=cold", "[tsw] ic"),
     # values that only the grid shows to be wrong; ";" separates overrides
     ("noise.mode={k = [1, 0, 0], amp = [0, 1, 0]}", "[noise] mode"),
