@@ -51,12 +51,10 @@ from .forms import (
 from .invariants import (
     DiagnosticSeries,
     helicity,
-    helicity_drift,
     pairing_integral,
     product_integral,
     total_integral,
     tsw_invariants,
-    vorticity_commutation,
 )
 from .models import (
     PositivityError,

@@ -4,8 +4,8 @@ Centered second-order stencils throughout, all from the one periodic kernel
 `centered_difference` on raw arrays.  On a C-contiguous input a call costs
 one subtraction over the flattened array, two periodic slices for the first
 and last node and one multiply by 1/(2h), with no axis reordering and no copy;
-any other input takes slice tuples precomputed per array axis.  A grid axis is
-counted from the trailing end of the array (array axis
+any other input is made C-contiguous first.  A grid axis is counted from the
+trailing end of the array (array axis
 ``v.ndim - grid.dim + axis``), so an array with a leading member axis (see
 `grid`) is differenced member by member, with the bits of each member's own
 call.  The summation-by-parts identity
@@ -42,11 +42,10 @@ _EINSUM = {1: "na,na->n", 2: "nab,na,nb->n", 3: "nabc,na,nb,nc->n"}
 
 
 def _axis_slices(axis: int) -> tuple[tuple[slice, ...], ...]:
-    """Index tuples selecting, along array axis ``axis``, the kernel's seven
-    node ranges: 2:, :-2, 1:-1 (interior), 1:2, -1:, :1 (first node), -2:-1
-    (last node)."""
+    """Index tuples selecting, along array axis ``axis``, the kernel's four
+    end-node ranges: 1:2, -1:, :1 (first node), -2:-1 (last node)."""
     lead = (slice(None),) * axis
-    ranges = ((2, None), (None, -2), (1, -1), (1, 2), (-1, None), (None, 1), (-2, -1))
+    ranges = ((1, 2), (-1, None), (None, 1), (-2, -1))
     return tuple(lead + (slice(*r),) for r in ranges)
 
 
@@ -59,27 +58,24 @@ def centered_difference(v: Array, axis: int, grid: Grid) -> Array:
     array, subtracted in float64; a leading member axis rides along.  The
     multiply is within 1 ulp of a division by 2h.
 
-    A C-contiguous input is differenced on its flattened values, ``s``
-    elements apart for an axis stride of ``s`` elements.  That one
-    subtraction mixes two rows only at the first and last node along the
-    axis, which the two periodic slices then overwrite.  Any other input
-    takes the interior slice."""
+    The input, made C-contiguous first, is differenced on its flattened
+    values, ``s`` elements apart for an axis stride of ``s`` elements.  That
+    one subtraction mixes two rows only at the first and last node along the
+    axis, which the two periodic slices then overwrite."""
     a = v.ndim - grid.dim + axis
+    v = np.ascontiguousarray(v)
     out = np.empty(v.shape)
-    up, down, inner, second, last, first, next_to_last = _SLICES[a]
+    second, last, first, next_to_last = _SLICES[a]
     src, dst = v, out
-    if v.flags.c_contiguous:
-        s = v.strides[a] // v.itemsize
-        flat, flat_out = v.reshape(-1), out.reshape(-1)
-        np.subtract(flat[2 * s:], flat[:-2 * s], out=flat_out[s:-s], dtype=np.float64)
-        if s == 1:
-            # the trailing axis: each end node is one strided run of the flat array
-            n = v.shape[-1]
-            src, dst = flat, flat_out
-            second, last, first, next_to_last = (slice(1, None, n), slice(n - 1, None, n),
-                                                 slice(0, None, n), slice(n - 2, None, n))
-    else:
-        np.subtract(v[up], v[down], out=out[inner], dtype=np.float64)
+    s = v.strides[a] // v.itemsize
+    flat, flat_out = v.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=flat_out[s:-s], dtype=np.float64)
+    if s == 1:
+        # the trailing axis: each end node is one strided run of the flat array
+        n = v.shape[-1]
+        src, dst = flat, flat_out
+        second, last, first, next_to_last = (slice(1, None, n), slice(n - 1, None, n),
+                                             slice(0, None, n), slice(n - 2, None, n))
     np.subtract(src[second], src[last], out=dst[first], dtype=np.float64)
     np.subtract(src[first], src[next_to_last], out=dst[last], dtype=np.float64)
     out *= 0.5 / grid.spacing[axis]

@@ -279,10 +279,6 @@ def metric_pairing_pointwise(scene: Scene2D, d: DiffeoIncrement):
     return sample_at(fh * gh, inverse_map(d)).reshape(scene.grid.shape) - (scene.fn * scene.gv).values
 
 
-def metric_vorticity_commutation(scene: Scene2D, d: DiffeoIncrement):
-    return vorticity_commutation_defect(scene.u, d)
-
-
 def metric_drift_helicity(scene: Scene3D, d: DiffeoIncrement):
     uhat = scene.u + perturb_1form(scene.u, d).realized
     return np.array([helicity(uhat) - helicity(scene.u)])
@@ -306,7 +302,7 @@ _STUDY = {
     "drift_int_fg": (2, make_scene_2d, metric_drift_int_fg),
     "drift_int_f2g": (2, make_scene_2d, metric_drift_int_f2g),
     "pairing_pointwise": (2, make_scene_2d, metric_pairing_pointwise),
-    "vorticity_commutation_joint": (2, make_scene_2d, metric_vorticity_commutation),
+    "vorticity_commutation_joint": (2, make_scene_2d, lambda scene, d: vorticity_commutation_defect(scene.u, d)),
     "drift_helicity": (3, make_scene_3d, metric_drift_helicity),
     "drift_tsw_energy": (2, make_scene_tsw, lambda scene, d: metric_drift_tsw(scene, d)[0]),
     "drift_tsw_momentum": (2, make_scene_tsw, lambda scene, d: metric_drift_tsw(scene, d)[1]),
@@ -383,7 +379,7 @@ def vorticity_fixed_h_study(dts=DEFAULT_DTS, n: int = 128, seed: int = 0,
     values = [
         _ensemble_mean_defect(
             lambda inc: DiffeoIncrement(scene.basis, inc, safety=safety),
-            lambda d: metric_vorticity_commutation(scene, d), ens, dt,
+            lambda d: vorticity_commutation_defect(scene.u, d), ens, dt,
         )
         for dt in dts
     ]

@@ -109,17 +109,16 @@ def _grad(v: Array, grid: Grid) -> list[Array]:
 
 
 def _div(vecs: list[Array], grid: Grid) -> Array:
-    return sum(_d(vecs[p], p, grid) for p in range(grid.dim))
-
-
-def _dot(e: list[Array], grads: list[Array], start=0) -> Array:
-    return sum((e[p] * grads[p] for p in range(len(e))), start)
+    acc = _d(vecs[0], 0, grid)
+    for p in range(1, grid.dim):
+        acc += _d(vecs[p], p, grid)
+    return acc
 
 
 def _variance_quadratic(amat: list[list[Array]], grads: list[Array], grid: Grid) -> Array:
     """(1/2) A^{pq} d_p d_q f with A the basis's variance tensor (symmetric
-    pairs folded), summed from 0 over the upper triangle row by row, from
-    the gradient ``grads`` of f.  Each Hessian entry d_q (d_p f) is formed
+    pairs folded), summed over the upper triangle row by row, from the
+    gradient ``grads`` of f.  Each Hessian entry d_q (d_p f) is formed
     when its term is added, and the product is formed in it."""
     acc = None
     for p in range(grid.dim):
@@ -132,23 +131,23 @@ def _variance_quadratic(amat: list[list[Array]], grads: list[Array], grid: Grid)
 
 
 def _dot_into(acc: Array | None, e: list[Array], grads: list[Array]) -> Array:
-    """``_dot(e, grads, acc)`` summed into ``acc``, an array the caller owns,
-    or from 0 into a new array when ``acc`` is None."""
+    """``acc + sum_p e[p] grads[p]`` summed into ``acc``, an array the caller
+    owns, or into the first product when ``acc`` is None."""
     term = None
     for p in range(len(e)):
-        term = np.multiply(e[p], grads[p], out=term)
         if acc is None:
-            acc, term = np.add(term, 0.0, out=term), None
+            acc = np.multiply(e[p], grads[p])
         else:
+            term = np.multiply(e[p], grads[p], out=term)
             acc += term
     return acc
 
 
 def _sum_into(acc: Array | None, term: Array) -> Array:
-    """``acc + term``, formed in ``acc``; from 0, in ``term``, when ``acc`` is
+    """``acc + term``, formed in ``acc``; ``term`` itself when ``acc`` is
     None.  Both are arrays the caller owns."""
     if acc is None:
-        return np.add(term, 0.0, out=term)
+        return term
     acc += term
     return acc
 
@@ -171,14 +170,13 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
     c1.grad f as one dot product after the quadratic term, and c1 None
     leaves it out.  The sums are formed in place, in arrays this call made
     (the gradient's end up holding xi^p d_p f), with the operations and
-    order of the plain expressions, sums from 0 included, so the bits are
-    theirs: a fresh array per term makes the heap trim and regrow, which
-    costs page faults on every step of a batch.
+    order of the plain expressions, so the bits are theirs: a fresh array
+    per term makes the heap trim and regrow, which costs page faults on
+    every step of a batch.
 
     An inverse increment's noise displacement is -xi of its forward
     increment (`DiffeoIncrement.signed_noise`): the noise is then formed
-    from xi with s0 and s1 negated, which gives the bits of -xi up to the
-    sign of a zero.
+    from xi with s0 and s1 negated.
     """
     grid, fv = f.grid, f.values
     xi, sign = d.signed_noise
@@ -191,16 +189,12 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
         drift = _dot_into(drift, c1, grads)
     elif c1 is not None:
         drift += _dot_into(None, c1, grads)
+    noise = None
     for p in range(grid.dim):
         grads[p] *= xi[p]
-    noise = np.add(grads[0], 0.0, out=grads[0])     # xi.grad f, from 0
-    for p in range(1, grid.dim):
-        noise += grads[p]
+        noise = _sum_into(noise, grads[p])     # xi.grad f
     if s0:
-        div_xi = _d(xi[0], 0, grid)
-        div_xi += 0.0
-        for p in range(1, grid.dim):
-            div_xi += _d(xi[p], p, grid)
+        div_xi = _div(xi, grid)
         div_xi *= fv
         if s0 < 0:
             np.negative(div_xi, out=div_xi)
@@ -251,7 +245,7 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
 
     so that integrate(realized) telescopes to zero for every realisation.
     Both sums are formed in place, in arrays this call made, with the order
-    of the plain expressions and sums from 0.
+    of the plain expressions.
     """
     basis = d.basis
     if mode is NFormMode.POINTWISE:
@@ -298,11 +292,11 @@ def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
     noise = [np.zeros(grid.shape) for _ in range(grid.dim)]
     for mode, eta in zip(d.basis.modes, d.increments.eta):
         e = [c.values for c in mode.components]
-        egrad = [_dot(e, grads[p]) for p in range(grid.dim)]  # e . grad v^p
+        egrad = [_dot_into(None, e, grads[p]) for p in range(grid.dim)]  # e . grad v^p
         for j in range(grid.dim):
             de_j = [_d(c, j, grid) for c in e]                # d_j e^p, one row at a time
-            drift[j] = drift[j] + _dot(de_j, egrad)
-            noise[j] += (egrad[j] + _dot(de_j, vv)) * float(eta)
+            drift[j] = drift[j] + _dot_into(None, de_j, egrad)
+            noise[j] += (egrad[j] + _dot_into(None, de_j, vv)) * float(eta)
     return _assemble(grid, drift, noise, d)
 
 

@@ -71,22 +71,11 @@ def vorticity_commutation_defect(u: VectorField, d: DiffeoIncrement) -> np.ndarr
     return lhs.values - rhs.values
 
 
-def vorticity_commutation(u: VectorField, d: DiffeoIncrement) -> float:
-    """RMS of `vorticity_commutation_defect` over the nodes."""
-    return float(np.sqrt(np.mean(vorticity_commutation_defect(u, d) ** 2)))
-
-
 def helicity(u: VectorField) -> float:
     """Integral of u . curl u (3D)."""
     if u.dim != 3:
         raise ValueError("helicity is a 3D diagnostic")
     return integrate(dot(u, curl(u)))
-
-
-def helicity_drift(u: VectorField, d: DiffeoIncrement) -> float:
-    """|helicity(u + 1-form increment) - helicity(u)| for one realisation."""
-    uhat = u + perturb_1form(u, d).realized
-    return abs(helicity(uhat) - helicity(u))
 
 
 Invariants = tuple[float, float, tuple[float, float]]

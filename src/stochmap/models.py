@@ -324,25 +324,17 @@ def tsw_deterministic_rhs(state: TSWState, params: TSWParams) -> State:
     dh/dt     = -div(h u)                      (flux form: mass to round-off)
     dTheta/dt = -(u.grad)Theta - kappa (h Theta - h0 Theta0)
     du/dt     = -(u.grad)u - f zhat x u - grad(h Theta) + (1/2) h grad Theta
-
-    Each sum is formed in place, in an array made here, term by term left
-    to right, with the bits of the plain expressions
-    ``-(0.0 + d_x(h u_x) + d_y(h u_y))``,
-    ``0.0 - u.grad Theta - kappa (h Theta - h0 Theta0)`` and
-    ``f zhat x u - d_j(h Theta) + 0.5 h d_j Theta - u.grad u_j``.
     """
     grid = state.grid
     h, theta = state.h.values, state.theta.values
     u = [c.values for c in state.u.components]
     htheta = h * theta
     grad_theta = [_d(theta, p, grid) for p in range(2)]
-    # dh and dtheta start from 0.0, which fixes the sign of their zeros
     dh = _d(h * u[0], 0, grid)
-    dh += 0.0
     dh += _d(h * u[1], 1, grid)
     np.negative(dh, out=dh)
     dtheta = np.multiply(u[0], grad_theta[0])
-    np.subtract(0.0, dtheta, out=dtheta)
+    np.negative(dtheta, out=dtheta)
     dtheta -= np.multiply(u[1], grad_theta[1])
     relax = htheta - params.h0 * params.theta0
     relax *= params.kappa

@@ -115,7 +115,7 @@ def test_centered_difference_of_a_member_stack_is_per_member(shape):
 
 
 def _layouts():
-    # inputs that are not C-contiguous, so they take the interior-slice path
+    # inputs that are not C-contiguous, so they are made C-contiguous first
     rng = np.random.default_rng(11)
     yield "fortran", (8, 12), np.asfortranarray(rng.standard_normal((8, 12)))
     yield "fortran_3d", (5, 6, 9), np.asfortranarray(rng.standard_normal((5, 6, 9)))
@@ -123,6 +123,7 @@ def _layouts():
     yield "stack_strided", (8, 12), rng.standard_normal((6, 8, 12))[::2]
     yield "stack_fortran", (6, 8, 10), np.asfortranarray(rng.standard_normal((3, 6, 8, 10)))
     yield "stack_of_strided", (8, 12), rng.standard_normal((3, 8, 24))[:, :, ::2]
+    yield "stack_broadcast", (8, 12), np.broadcast_to(rng.standard_normal((8, 12)), (3, 8, 12))
 
 
 @pytest.mark.parametrize("name, shape, v", list(_layouts()), ids=[c[0] for c in _layouts()])

@@ -492,8 +492,8 @@ def _plain_tsw_rhs(state, params):
     d = lambda v, p: centered_difference(v, p, state.grid)
     htheta = h * theta
     grad_theta = [d(theta, p) for p in range(2)]
-    dh = -(0.0 + d(h * u[0], 0) + d(h * u[1], 1))
-    dtheta = 0.0 - u[0] * grad_theta[0] - u[1] * grad_theta[1]
+    dh = -(d(h * u[0], 0) + d(h * u[1], 1))
+    dtheta = -(u[0] * grad_theta[0]) - u[1] * grad_theta[1]
     dtheta = dtheta - params.kappa * (htheta - params.h0 * params.theta0)
     coriolis = (params.fcor * u[1], -params.fcor * u[0])
     du = [coriolis[j] - d(htheta, j) + 0.5 * h * grad_theta[j] - u[0] * d(u[j], 0) - u[1] * d(u[j], 1)
@@ -508,7 +508,7 @@ def test_tsw_rhs_sums_in_place_have_the_bits_of_the_plain_expressions(members):
     shape = g.shape if members is None else (members,) + g.shape
     state = TSWState(ScalarField(g, 1.0 + 0.2 * rng.random(shape)), ScalarField(g, 1.0 + 0.2 * rng.random(shape)),
                      VectorField.from_arrays(g, [rng.normal(size=shape) for _ in range(2)]))
-    state.u.components[1].values[..., 0, :] = 0.0     # zeros whose sign the sums from 0.0 fix
+    state.u.components[1].values[..., 0, :] = 0.0     # exact zeros, whose sign the bytes compare
     params = TSWParams(kappa=0.3, h0=1.1, theta0=0.9, fcor=1.7)
     got = tsw_deterministic_rhs(state, params)
     dh, dtheta, du = _plain_tsw_rhs(state, params)
