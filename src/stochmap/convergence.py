@@ -331,7 +331,7 @@ def _ensemble_mean_defect(make_d, metric, ensemble: np.ndarray, dt: float) -> fl
 
 
 def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
-              n_pairs: int = 8, safety: float = 1.0) -> list[StudyRow]:
+              n_pairs: int = 8) -> list[StudyRow]:
     """Evaluate the per-step defect metrics over co-refined (grid, dt) levels.
 
     Defect fields are averaged over a symmetric moment-matched ensemble
@@ -350,7 +350,7 @@ def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
             scene = make_scene(n)
             ens = symmetric_ensemble(scene.basis.n_modes, n_pairs, seed)
             values.append(_ensemble_mean_defect(
-                lambda inc: DiffeoIncrement(scene.basis, inc, safety=safety),
+                lambda inc: DiffeoIncrement(scene.basis, inc),
                 lambda d: defect(scene, d), ens, dt))
             ns.append(n)
         slope = fit_loglog_slope(dts, values)
@@ -359,8 +359,7 @@ def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
     return rows
 
 
-def vorticity_fixed_h_study(dts=DEFAULT_DTS, n: int = 128, seed: int = 0,
-                            n_pairs: int = 8, safety: float = 2.5) -> tuple[list[float], float]:
+def vorticity_fixed_h_study(dts=DEFAULT_DTS, n: int = 128, seed: int = 0) -> tuple[list[float], float]:
     """Commutation defect at one fixed fine grid across the dt ladder.
 
     The fitted slope is exactly 1, so a 3/2 threshold fails by construction.
@@ -375,10 +374,10 @@ def vorticity_fixed_h_study(dts=DEFAULT_DTS, n: int = 128, seed: int = 0,
     "vorticity_commutation_joint" metric, at slope about 2.
     """
     scene = make_scene_2d(n)
-    ens = symmetric_ensemble(scene.basis.n_modes, n_pairs, seed)
+    ens = symmetric_ensemble(scene.basis.n_modes, 8, seed)
     values = [
         _ensemble_mean_defect(
-            lambda inc: DiffeoIncrement(scene.basis, inc, safety=safety),
+            lambda inc: DiffeoIncrement(scene.basis, inc, safety=2.5),
             lambda d: vorticity_commutation_defect(scene.u, d), ens, dt,
         )
         for dt in dts

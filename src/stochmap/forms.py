@@ -319,17 +319,16 @@ def perturb_mixed_pair(
     f_nform: ScalarField,
     g_nvector: ScalarField,
     d: DiffeoIncrement,
-    mode: NFormMode = NFormMode.FLUX,
 ) -> tuple[PerturbationResult, PerturbationResult]:
     """Covariant/variant pair sharing one increment: the n-form is pulled back
-    through the map, the n-vector is pushed forward through its inverse, so
-    the pointwise pairing f*g is preserved to the scheme's order."""
+    through the map (flux assembly), the n-vector pushed forward through its
+    inverse, so the pointwise pairing f*g is preserved to the scheme's order."""
     if f_nform.grid != g_nvector.grid:
         raise ValueError("mixed pair must live on one grid")
     if f_nform.grid != d.grid:
         raise ValueError("mixed pair and increment must share the grid")
     return (
-        perturb_nform(f_nform, d, mode),
+        perturb_nform(f_nform, d),
         pushforward_nvector(g_nvector, inverse_increment(d)),
     )
 
@@ -377,7 +376,6 @@ def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
     volume form: det J_T
     1-form:      (f^p o T) d_j T^p
     n-vector:    (g o T^{-1}) (det J_T o T^{-1})
-    mixed pair:  (n-form remap of f, n-vector remap of g)
     """
     require_single_member(d, "oracle_remap")
     grid = d.grid
@@ -407,10 +405,4 @@ def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
         gvals = sample_at(fields, inv).reshape(grid.shape)
         dvals = sample_at(det, inv).reshape(grid.shape)
         return fields.with_values(gvals * dvals)
-    if theta_class is TensorClass.MIXED_PAIR:
-        f, g = fields
-        return (
-            oracle_remap(TensorClass.N_FORM, f, d),
-            oracle_remap(TensorClass.N_VECTOR, g, d),
-        )
     raise ValueError(f"unsupported tensor class {theta_class}")

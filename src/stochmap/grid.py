@@ -48,7 +48,6 @@ class TensorClass(Enum):
     N_FORM = "n_form"
     N_VECTOR = "n_vector"
     VOLUME_FORM = "volume_form"
-    MIXED_PAIR = "mixed_pair"
 
 
 @dataclass(frozen=True)
@@ -229,19 +228,10 @@ class ScalarField:
     def __sub__(self, other):
         return self.with_values(self.values - _raw(other))
 
-    def __rsub__(self, other):
-        return self.with_values(_raw(other) - self.values)
-
     def __mul__(self, other):
         return self.with_values(self.values * _raw(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self.with_values(self.values / _raw(other))
-
-    def __neg__(self):
-        return self.with_values(-self.values)
 
     def min(self) -> float:
         self.require_single_member("ScalarField.min")

@@ -176,13 +176,12 @@ def lu_basis(basis: NoiseBasis) -> NoiseBasis:
     return basis.with_drift(ito_drift_correction(basis, 1.0))
 
 
-def salt_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator,
-                   safety: float = 1.0) -> DiffeoIncrement:
+def salt_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator) -> DiffeoIncrement:
     """Map increment in the Stratonovich transport convention:
     drift (1/2)(e.grad)e, noise sign flipped (the same modes, eta negated).
     Its basis, `NoiseBasis.salt_basis`, is built once per basis."""
     eta = -sample_increments(basis.n_modes, dt, rng).eta
-    return DiffeoIncrement(basis.salt_basis, BrownianIncrements(dt, eta), safety)
+    return DiffeoIncrement(basis.salt_basis, BrownianIncrements(dt, eta))
 
 
 def lu_discrepancy_0form(d: DiffeoIncrement, f: ScalarField) -> float:

@@ -5,7 +5,8 @@ versions), one CSV per diagnostic series, and `.fld` snapshots.  Nothing in
 the outputs depends on wall-clock time, so identical config plus seed gives
 byte-identical files.
 Ensemble members are independent trajectories with spawned seed streams,
-written to member_### subdirectories.
+written to member_### subdirectories.  `_march` is the one step loop of
+every model; a model (`_tsw_model`, `_scalar_model`) only describes its state.
 
 The members are stepped in batches of `grid.BATCH_POINTS` grid points per
 array (`Grid.members_per_batch`: 4 members at 64^2, one from 128^2 up): one
@@ -76,7 +77,7 @@ def run_simulation(config: RunConfig) -> RunResult:
     basis = build_basis(grid, config)   # one per run: members share its geometry and inverse
     seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble)
     labels = [f"member_{k:03d}" for k in range(config.ensemble)] if config.ensemble > 1 else [""]
-    run = _run_tsw if config.model == "tsw" else _run_scalar
+    model = _tsw_model if config.model == "tsw" else _scalar_model
     diagnostics: dict[str, list[str]] = {}
     for first in range(0, config.ensemble, grid.members_per_batch):
         members = range(first, min(first + grid.members_per_batch, config.ensemble))
@@ -84,8 +85,9 @@ def run_simulation(config: RunConfig) -> RunResult:
                        [out_root / labels[k] for k in members], config.ensemble > 1)
         for out_dir in batch.out_dirs:
             out_dir.mkdir(parents=True, exist_ok=True)
-        names = run(config, grid, basis, batch)
-        diagnostics.update((labels[k] or "single", names) for k in members)
+        names, *steps = model(config, grid, basis, batch)
+        _march(config, batch, names, *steps)
+        diagnostics.update((labels[k] or "single", list(names)) for k in members)
     return RunResult(out_root, config.n_steps, diagnostics)
 
 
@@ -133,9 +135,11 @@ def _snapshot_due(config: RunConfig, step: int) -> bool:
     return config.snapshot_interval > 0 and step % config.snapshot_interval == 0
 
 
-def _march(config: RunConfig, batch: _Batch, series: list[list[DiagnosticSeries]],
-           initial, advance, record, snap) -> None:
-    """Step loop shared by the models: record every step and snapshot when due.
+def _march(config: RunConfig, batch: _Batch, names, initial, advance, values, fields) -> None:
+    """Step, record every step (step 0 included), and write each due snapshot
+    member by member.  A model gives its series ``names``, ``initial()``,
+    ``advance(state)``, ``values(state)``, one tuple per member in the order
+    of ``names``, and ``fields(state)``, the {file stem: field} map to write.
 
     The initial state is built inside the guarded region, so a guard that
     fires on it aborts the run at step 0.  Overflow there is silent: the
@@ -144,18 +148,23 @@ def _march(config: RunConfig, batch: _Batch, series: list[list[DiagnosticSeries]
     batch completes or a guard aborts it, so every member of an aborted
     batch keeps the diagnostics of every step the batch finished.
     """
+    series = [[DiagnosticSeries(name) for name in names] for _ in batch.members]
     step = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             state = initial()
-            record(0.0, state)
-            if _snapshot_due(config, 0):
-                snap(0, state)
-            for step in range(1, config.n_steps + 1):
-                state = advance(state)
-                record(step * config.dt, state)
+            for step in range(config.n_steps + 1):
+                if step:
+                    state = advance(state)
+                t = step * config.dt   # one float object, shared by every series
+                for recs, row in zip(series, values(state)):
+                    for rec, value in zip(recs, row):
+                        rec.append(t, value)
                 if _snapshot_due(config, step):
-                    snap(step, state)
+                    for name, field in fields(state).items():
+                        for out_dir, member in zip(batch.out_dirs, field.members()):
+                            write_field(out_dir / f"{name}_{step:06d}.fld", member)
+                    del field, member   # else they keep a snapshot's array alive through later steps
     except (StabilityError, PositivityError, StepSizeError, NonFiniteError) as err:
         raise RuntimeAbort(f"step {step}: {batch.describe(err)}") from err
     finally:
@@ -164,24 +173,17 @@ def _march(config: RunConfig, batch: _Batch, series: list[list[DiagnosticSeries]
                 (out_dir / f"{rec.name}.csv").write_text(rec.to_csv())
 
 
-def _run_tsw(config, grid, basis, batch: _Batch) -> list[str]:
+def _tsw_model(config, grid, basis, batch: _Batch):
     ic_rngs = [np.random.default_rng(config.seed + 1000 + k) for k in batch.members]
     initial = partial(tsw_initial_state, grid, config, _one_or_all(ic_rngs))
     params = tsw_params(config)
-    names = ("energy", "mass", "momentum_x", "momentum_y")
-    series = [[DiagnosticSeries(name) for name in names] for _ in batch.members]
 
-    def record(t, s):
-        values = tsw_invariants(s)
-        for recs, (e, m, (px, py)) in zip(series, values if s.h.batch_shape else [values]):
-            for rec, value in zip(recs, (e, m, px, py)):
-                rec.append(t, value)
+    def values(s):
+        rows = tsw_invariants(s)
+        return [(e, m, px, py) for e, m, (px, py) in (rows if s.h.batch_shape else [rows])]
 
-    def snap(step, s):
-        for name, field in (("h", s.h), ("theta", s.theta),
-                            ("u_x", s.u.components[0]), ("u_y", s.u.components[1])):
-            for out_dir, member in zip(batch.out_dirs, field.members()):
-                write_field(out_dir / f"{name}_{step:06d}.fld", member)
+    def fields(s):
+        return {"h": s.h, "theta": s.theta, "u_x": s.u.components[0], "u_y": s.u.components[1]}
 
     def advance(s):
         return tsw_spde_step(
@@ -192,11 +194,10 @@ def _run_tsw(config, grid, basis, batch: _Batch) -> list[str]:
             c_stab=config.c_stab,
         )
 
-    _march(config, batch, series, initial, advance, record, snap)
-    return list(names)
+    return ("energy", "mass", "momentum_x", "momentum_y"), initial, advance, values, fields
 
 
-def _run_scalar(config, grid, basis, batch: _Batch) -> list[str]:
+def _scalar_model(config, grid, basis, batch: _Batch):
     advect = config.model == "advection"   # else perturbation_only on a scalar field
     ic_amp = config.adv_ic_amplitude if advect else config.scalar_ic_amplitude
     assignment = {"f": TensorClass.ZERO_FORM if advect else config.scalar_tensor_class}
@@ -208,22 +209,13 @@ def _run_scalar(config, grid, basis, batch: _Batch) -> list[str]:
         vel += float(np.sqrt(sum(v * v for v in config.adv_velocity)))
         diff += config.adv_diffusivity
 
-    names = ("total_integral", "l2_norm")
-    series = [[DiagnosticSeries(name) for name in names] for _ in batch.members]
-
     def initial():
         fields = [smooth_scalar(grid, np.random.default_rng(config.seed + 1000 + k), offset=1.0, amplitude=ic_amp)
                   for k in batch.members]
         return {"f": fields[0] if len(fields) == 1 else stack_members(fields)}
 
-    def record(t, state):
-        for (total, l2), f in zip(series, state["f"].members()):
-            total.append(t, integrate(f))
-            l2.append(t, float(np.sqrt(np.mean(f.values**2))))
-
-    def snap(step, state):
-        for out_dir, f in zip(batch.out_dirs, state["f"].members()):
-            write_field(out_dir / f"f_{step:06d}.fld", f)
+    def values(state):
+        return [(integrate(f), float(np.sqrt(np.mean(f.values**2)))) for f in state["f"].members()]
 
     def advance(state):
         check_stability(grid, config.dt, vel, diff, config.c_stab)
@@ -233,5 +225,4 @@ def _run_scalar(config, grid, basis, batch: _Batch) -> list[str]:
             safety=config.safety,
         )
 
-    _march(config, batch, series, initial, advance, record, snap)
-    return list(names)
+    return ("total_integral", "l2_norm"), initial, advance, values, lambda state: {"f": state["f"]}

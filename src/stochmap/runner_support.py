@@ -12,12 +12,12 @@ from .noise import NoiseBasis, build_fourier_basis, ito_drift_correction
 
 
 def smooth_scalar(grid: Grid, rng: np.random.Generator, offset: float = 0.0,
-                  amplitude: float = 1.0, kmax: int = 2) -> ScalarField:
-    """Band-limited random field: offset plus low-wavenumber cosines with
-    seeded coefficients, scaled so the fluctuation maximum is ~amplitude."""
+                  amplitude: float = 1.0) -> ScalarField:
+    """Band-limited random field: offset plus cosines of wavenumbers |k_p| <= 2
+    with seeded coefficients, scaled so the fluctuation maximum is ~amplitude."""
     coords = grid.coords()
     acc = np.zeros(grid.shape)
-    ks = _wavevectors(grid.dim, kmax)
+    ks = _wavevectors(grid.dim)
     coeffs = rng.normal(size=len(ks))
     phases = rng.uniform(0, 2 * np.pi, size=len(ks))
     for (k, c, ph) in zip(ks, coeffs, phases):
@@ -30,16 +30,12 @@ def smooth_scalar(grid: Grid, rng: np.random.Generator, offset: float = 0.0,
     return ScalarField(grid, offset + acc)
 
 
-def smooth_vector(grid: Grid, rng: np.random.Generator, amplitude: float = 1.0,
-                  kmax: int = 2) -> VectorField:
-    return VectorField(
-        grid,
-        tuple(smooth_scalar(grid, rng, 0.0, amplitude, kmax) for _ in range(grid.dim)),
-    )
+def smooth_vector(grid: Grid, rng: np.random.Generator, amplitude: float = 1.0) -> VectorField:
+    return VectorField(grid, tuple(smooth_scalar(grid, rng, 0.0, amplitude) for _ in range(grid.dim)))
 
 
-def _wavevectors(dim: int, kmax: int) -> list[tuple[int, ...]]:
-    ranges = [range(-kmax, kmax + 1)] * dim
+def _wavevectors(dim: int) -> list[tuple[int, ...]]:
+    ranges = [range(-2, 3)] * dim
     out = []
     for k in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, dim):
         kt = tuple(int(x) for x in k)

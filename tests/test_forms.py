@@ -16,6 +16,8 @@ from stochmap.noise import (
 from stochmap.maps import DiffeoIncrement, forward_map, inverse_increment, inverse_map, make_increment
 from stochmap.forms import (
     NFormMode,
+    jacobian_determinant,
+    map_jacobian,
     oracle_remap,
     perturb_0form,
     perturb_1form,
@@ -413,6 +415,22 @@ def test_mixed_pair_nvector_rides_the_inverse():
 
 
 # --- oracle remap -----------------------------------------------------------
+
+@pytest.mark.parametrize("shape, modes", [
+    ((16,), [ModeSpec(k=(1,), amplitude=(0.3,), solenoidal=False, wave="both")]),
+    ((12, 10), [ModeSpec(k=(1, 2), amplitude=(0.2, 0.1), solenoidal=False)]),
+    ((12, 10, 8), [ModeSpec(k=(1, 0, 2), amplitude=(0.2, 0.1, 0.3), solenoidal=False),
+                   ModeSpec(k=(0, 1, 1), amplitude=(0.1, 0.2, 0.1), solenoidal=False, wave="both")]),
+], ids=["1d", "2d", "3d"])
+def test_jacobian_determinant_is_the_determinant_of_the_map_jacobian(shape, modes):
+    g = Grid(shape, tuple(TWO_PI * (1.0 + 0.25 * p) for p in range(len(shape))))
+    d = make_increment(build_fourier_basis(g, modes), 1e-2, np.random.default_rng(3))
+    jac = np.stack([[entry.values for entry in row] for row in map_jacobian(d)])
+    want = np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)))
+    assert np.abs(want - 1.0).max() > 1e-3
+    got = jacobian_determinant(d).values
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 def test_oracle_identity_increment_returns_input():
     g = grid2(32)

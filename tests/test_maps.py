@@ -7,7 +7,7 @@ import pytest
 
 from stochmap.calculus import sample_at
 from stochmap.convergence import make_scene_2d, make_scene_3d
-from stochmap.forms import pushforward_nvector
+from stochmap.forms import perturb_0form, pushforward_nvector
 from stochmap.grid import Grid, ScalarField, VectorField
 from stochmap.noise import (
     BasisGeometry,
@@ -188,6 +188,9 @@ def test_the_inverse_reads_the_forward_xi_with_a_sign():
     summed = DiffeoIncrement(basis.inverse, BrownianIncrements(d.dt, -d.increments.eta))
     want = pushforward_nvector(f, summed)
     assert np.array_equal(got.increment, want.increment)
+    # the 0-form's noise is xi.grad f, negated when read with the sign
+    got, want = perturb_0form(f, inv), perturb_0form(f, summed)
+    assert np.array_equal(got.increment, want.increment) and np.array_equal(got.noise, want.noise)
     assert _max_displacement(inv).tobytes() == _max_displacement(summed).tobytes()
 
 
