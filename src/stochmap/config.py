@@ -216,6 +216,12 @@ class RunConfig:
             ("ensemble", self.ensemble >= 1, "must be >= 1"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("safety", self.safety > 0, "must be positive"),
+            ("snapshot_interval", self.snapshot_interval >= 0, "must be >= 0"),
+            ("c_stab", self.c_stab > 0, "must be positive"),
+            ("tsw_kappa", self.tsw_kappa >= 0, "must be >= 0"),
+            ("tsw_h0", self.tsw_h0 > 0, "must be positive"),
+            ("tsw_theta0", self.tsw_theta0 > 0, "must be positive"),
+            ("adv_diffusivity", self.adv_diffusivity >= 0, "must be >= 0"),
             ("tsw_ic", self.tsw_ic in _TSW_ICS, f"must be one of {_TSW_ICS}"),
             ("drift", not isinstance(self.drift, str) or self.drift in _DRIFTS,
              f"must be one of {_DRIFTS} or mode tables"),

@@ -169,6 +169,7 @@ class Scene3D:
     grid: Grid
     u: VectorField
     basis: NoiseBasis
+    base_helicity: float  # helicity(u), read by every member of the helicity study
 
 
 def make_scene_3d(n: int) -> Scene3D:
@@ -190,7 +191,7 @@ def make_scene_3d(n: int) -> Scene3D:
         ],
         drift=drift,
     )
-    return Scene3D(g, u, basis)
+    return Scene3D(g, u, basis, helicity(u))
 
 
 @dataclass
@@ -281,7 +282,7 @@ def metric_pairing_pointwise(scene: Scene2D, d: DiffeoIncrement):
 
 def metric_drift_helicity(scene: Scene3D, d: DiffeoIncrement):
     uhat = scene.u + perturb_1form(scene.u, d).realized
-    return np.array([helicity(uhat) - helicity(scene.u)])
+    return np.array([helicity(uhat) - scene.base_helicity])
 
 
 def metric_drift_tsw(scene: SceneTSW, d: DiffeoIncrement):

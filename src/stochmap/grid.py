@@ -17,9 +17,20 @@ scan of a batched field.  `stack_members` builds a batch from one field per
 member, and `ScalarField.members` gives each member's field back as a view.
 Ensembles are stepped in batches of `BATCH_POINTS` grid points per array
 (`Grid.members_per_batch`).
+
+Allocator policy: on Linux with glibc, importing this module sets two malloc
+parameters once, for the whole process (`keep_freed_heap`), so that the
+arrays a step or a study member frees stay in the process for the next one
+instead of going back to the kernel and being faulted in again, page by
+page.  Arrays of up to `MMAP_THRESHOLD_BYTES` (32 MiB) come from the heap,
+and at most `TRIM_THRESHOLD_BYTES` (64 MiB) of freed heap is kept at its top;
+larger arrays still get their own mmap.  Elsewhere (no glibc ``mallopt``)
+nothing is set.  Only the addresses of arrays change, never a value.
 """
 from __future__ import annotations
 
+import ctypes
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -38,6 +49,35 @@ F = TypeVar("F", "ScalarField", "VectorField")
 # faster than at 4, but its peak RSS rose 5.4 % over one member at a time,
 # past the benchmark's 5 % bound (2-core VM, numpy 2.4).
 BATCH_POINTS = 1 << 14
+
+# glibc <malloc.h> parameter numbers and the values set at import.  32 MiB is
+# glibc's own ceiling for its dynamic mmap threshold on 64-bit.  The mmap
+# threshold must be set with the trim threshold: setting either one freezes
+# the dynamic threshold, and trim alone would leave it at 128 KiB and put
+# every 256^2 array on its own mmap (434 000 faults per tsw_256 call and 1.9x
+# the time with glibc's defaults; 2-core VM).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def keep_freed_heap() -> bool:
+    """Have glibc's malloc keep freed arrays in the process (see the module
+    docstring); True if both parameters were set.  Without a glibc
+    ``mallopt`` it sets nothing and returns False."""
+    if not sys.platform.startswith("linux"):
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # never the trim threshold alone (see above)
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)) and bool(
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
+
+
+KEEPS_FREED_HEAP = keep_freed_heap()
 
 
 class TensorClass(Enum):

@@ -140,6 +140,12 @@ def test_invalid_drift_string():
     ("noise.safety=0", "[noise] safety"),      # the step-size guard's bound would be 0
     ("noise.safety=-1", "[noise] safety"),
     ("tsw.ic=cold", "[tsw] ic"),
+    ("tsw.kappa=-1", "[tsw] kappa"),           # TSWParams or the rhs would raise in the run
+    ("tsw.h0=0", "[tsw] h0"),
+    ("tsw.theta0=-1", "[tsw] theta0"),
+    ("advection.diffusivity=-1", "[advection] diffusivity"),
+    ("run.c_stab=0", "[run] c_stab"),          # would abort at step 1
+    ("run.snapshot_interval=-5", "[run] snapshot_interval"),   # would silently mean none
     # values that only the grid shows to be wrong; ";" separates overrides
     ("noise.mode={k = [1, 0, 0], amp = [0, 1, 0]}", "[noise] mode"),
     ("grid.points=2 2", "[grid] points"),

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import stochmap.convergence as convergence
+import stochmap.grid as grid
 from stochmap.convergence import (
     fit_loglog_slope,
+    make_scene_3d,
     matched_increment_ensemble,
+    metric_drift_helicity,
     run_study,
     study_grid_points,
     symmetric_ensemble,
@@ -137,3 +140,30 @@ def test_weak_study_in_ragged_batches_equals_one_member_at_a_time(monkeypatch):
     assert got["errors"] == [float(np.sqrt(np.mean((m - exact) ** 2)) / ref) for m in means]
     assert got["coupled_diffs"] == [float(np.sqrt(np.mean((means[i] - means[i + 1]) ** 2)))
                                     for i in range(n_levels - 1)]
+
+
+@pytest.mark.skipif(not grid.KEEPS_FREED_HEAP, reason="no glibc mallopt: the allocator keeps its defaults")
+def test_repeated_study_members_fault_no_pages_back_in():
+    # with glibc's defaults each call trims the heap top and faults it back
+    # in: 8 895 minor faults per call at 46^3
+    import resource
+
+    scene = make_scene_3d(46)
+    d = DiffeoIncrement(scene.basis, BrownianIncrements(dt=1.25e-3, eta=np.array([0.035, -0.02])))
+    metric_drift_helicity(scene, d)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        metric_drift_helicity(scene, d)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def _no_cdll_of_none(name):
+    raise TypeError("CDLL(None) needs a library name on this platform")
+
+
+@pytest.mark.parametrize("platform, cdll", [("linux", lambda name: object()), ("win32", _no_cdll_of_none)],
+                         ids=["libc_without_mallopt", "not_linux"])
+def test_allocator_setup_without_glibc_mallopt_sets_nothing(monkeypatch, platform, cdll):
+    monkeypatch.setattr(grid.sys, "platform", platform)
+    monkeypatch.setattr(grid.ctypes, "CDLL", cdll)
+    assert grid.keep_freed_heap() is False
