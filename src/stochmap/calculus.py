@@ -26,7 +26,10 @@ per call and gathered through that index with one flat `take`, then
 contracted with the weights by the same `einsum` as a fancy-indexed gather,
 with the same bits.  Points are taken in chunks of a fixed number of stencil
 entries (2^19: 2^15 points in 2D, 8192 in 3D), which bounds the index and
-gather temporaries.
+gather temporaries.  A point's bits do not depend on its chunk, so the
+members of an ensemble are sampled by one call: one field at the members'
+point sets concatenated, or a field batched over members at one point set
+per member, each member's flat index offset by the size of its padded array.
 """
 from __future__ import annotations
 
@@ -165,35 +168,46 @@ def _catmull_rom_weights(t: Array) -> Array:
 def sample_at(f: ScalarField | VectorField, points: Array) -> Array:
     """Evaluate ``f`` at arbitrary points (wrapped periodically).
 
-    ``points`` has shape (N, dim); returns shape (N,) for a ScalarField and
-    (N, dim) for a VectorField, whose components share one stencil.
+    ``points`` has shape (..., dim); returns shape (...) for a ScalarField
+    and (..., dim) for a VectorField, whose components share one stencil.
+    A field batched over M members takes one point set per member, points of
+    shape (M, N, dim), and samples each member at its own points.
     """
     vector = isinstance(f, VectorField)
     comps = f.components if vector else (f,)
-    for c in comps:
-        c.require_single_member("sample_at")
     grid = f.grid
+    batch = comps[0].batch_shape
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[-1] != grid.dim:
         raise ValueError(f"points must have {grid.dim} columns")
-    padded = [np.pad(c.values, [(1, 2)] * grid.dim, mode="wrap").ravel() for c in comps]
+    if batch and pts.shape[:-2] != batch:
+        raise ValueError(f"sample_at takes one member; got a field batched over {batch} and points of shape "
+                         f"{pts.shape}, where a batch takes one set per member, ({batch[0]}, N, {grid.dim})")
+    lead = pts.shape[:-1]
+    pts = pts.reshape(-1, grid.dim)
+    padded = [np.pad(c.values, [(0, 0)] * len(batch) + [(1, 2)] * grid.dim, mode="wrap").ravel()
+              for c in comps]
+    member_size = padded[0].size // batch[0] if batch else 0
     subscripts = _EINSUM[grid.dim]
     chunk = _STENCIL_ENTRIES // 4**grid.dim
     out = np.empty((pts.shape[0], len(comps)))
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, min(start + chunk, pts.shape[0]))
-        lin, wts = _stencil(grid, pts[sl])
+        # in a batch, point i belongs to member i // N, whose padded array starts at member * member_size
+        first = np.arange(sl.start, sl.stop) // lead[-1] * member_size if batch else 0
+        lin, wts = _stencil(grid, pts[sl], first)
         for k, values in enumerate(padded):
             out[sl, k] = np.einsum(subscripts, values.take(lin), *wts)
-    return out if vector else out[:, 0]
+    return out.reshape(lead + (len(comps),)) if vector else out[:, 0].reshape(lead)
 
 
-def _stencil(grid: Grid, pts: Array) -> tuple[Array, list[Array]]:
+def _stencil(grid: Grid, pts: Array, first: Array | int = 0) -> tuple[Array, list[Array]]:
     """The 4**dim padded flat indices of each point's stencil, shape
     (N, 4, ..., 4), and its per-axis Catmull-Rom weights, each (N, 4).
 
     Node ``base - 1 + a`` on an axis of n nodes sits at ``mod(base, n) + a``
-    in an array padded by one node before and two after."""
+    in an array padded by one node before and two after; ``first`` is the
+    flat index of each point's padded array among those gathered from."""
     lin = np.zeros(pts.shape[0], dtype=np.int64)
     wts = []
     for p in range(grid.dim):
@@ -201,6 +215,7 @@ def _stencil(grid: Grid, pts: Array) -> tuple[Array, list[Array]]:
         base = np.floor(xi).astype(np.int64)
         wts.append(_catmull_rom_weights(xi - base))
         lin = lin * (grid.shape[p] + 3) + np.mod(base, grid.shape[p])
+    lin += first
     padded_shape = tuple(n + 3 for n in grid.shape)
     offsets = np.ravel_multi_index(np.indices((4,) * grid.dim), padded_shape)
     return lin.reshape((-1,) + (1,) * grid.dim) + offsets, wts

@@ -19,6 +19,16 @@ Per-step metrics are measured with the grid co-refined as N ~ dt^(-1/2), so
 the O(h^2)-per-dt stencil defects shrink at the same rate as the time terms
 and the fitted slope reflects the scheme order rather than a fixed-h floor.
 
+The order study (`run_study`, and `vorticity_fixed_h_study` through the same
+loop) runs level by level: at each dt it builds each scene kind its metrics
+read once, as one `StudyLevel`, whose metrics share one set of increments,
+closed forms and maps.  The 16 members of the symmetric ensemble sit on the
+member axis: one increment batched over them drives the scalar classes, the
+maps, the remap oracle and the TSW step once for all, each member with the
+bits of its own call; the 1-form, 2D or 3D, steps one member at a time.  Each
+metric sums its member defects in member order, so every value equals a
+member-by-member, metric-by-metric loop exactly.
+
 The weak-mean study (`weak_advection_study`) steps its members in batches,
 `grid.BATCH_POINTS` grid points per array (4 members at 64^2), through the
 member axis of `two_step_forecast`: one step call per batch, not per member,
@@ -28,22 +38,23 @@ members in member order, so they equal a member-by-member loop exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .calculus import integrate, sample_at
+from .calculus import curl, integrate, member_integrals, sample_at
 from .forms import (
     NFormMode,
+    NodeMaps,
     oracle_remap,
     perturb_0form,
     perturb_1form,
-    perturb_mixed_pair,
     perturb_nform,
     pushforward_nvector,
 )
-from .grid import Grid, ScalarField, TensorClass, VectorField
-from .invariants import helicity, tsw_invariants, vorticity_commutation_defect
-from .maps import DiffeoIncrement, forward_map, inverse_map
+from .grid import Grid, ScalarField, TensorClass, VectorField, stack_members
+from .invariants import helicity, tsw_invariants
+from .maps import DiffeoIncrement, forward_map, inverse_increment
 from .models import TSWState, tsw_spde_step, TSWParams, advection_diffusion_rhs, two_step_forecast
 from .noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
 
@@ -226,58 +237,138 @@ def make_scene_tsw(n: int) -> SceneTSW:
 
 
 # ---------------------------------------------------------------------------
-# per-step defect metrics (each returns an array; the study averages over the
-# symmetric ensemble before taking the RMS)
+# one dt level of a scene, and what its metrics share
 
-def _mismatch(tensor_class: TensorClass, field, closed, d: DiffeoIncrement):
-    remapped = oracle_remap(tensor_class, field, d)
+class StudyLevel:
+    """One scene at one dt under its symmetric ensemble, and every increment,
+    closed form and map that more than one of its metrics reads, each built
+    on first read and kept while the level lives.  The ensemble is one
+    increment batched over the members (`batch`), acting on the scene fields
+    broadcast over them (`batched`); the 1-form takes one member at a time
+    (`each_member`).
+    """
+
+    def __init__(self, scene, dt: float, n_pairs: int, seed: int, safety: float = 1.0):
+        self.scene, self.dt, self.safety = scene, dt, safety
+        self.eta = np.sqrt(dt) * symmetric_ensemble(scene.basis.n_modes, n_pairs, seed)   # (members, m)
+
+    def each_member(self):
+        """One single-member increment per member, in member order, each built
+        as it is read."""
+        for eta in self.eta:
+            yield DiffeoIncrement(self.scene.basis, BrownianIncrements(self.dt, eta), self.safety)
+
+    def batched(self, f: ScalarField) -> ScalarField:
+        return f.with_values(np.broadcast_to(f.values, self.eta.shape[:1] + f.grid.shape))
+
+    @cached_property
+    def batch(self) -> DiffeoIncrement:
+        return DiffeoIncrement(self.scene.basis, BrownianIncrements(self.dt, self.eta), self.safety)
+
+    @cached_property
+    def maps(self) -> NodeMaps:
+        return NodeMaps(self.batch)
+
+    @cached_property
+    def nform(self) -> ScalarField:
+        """The flux n-form increment of the density f_n."""
+        return perturb_nform(self.batched(self.scene.fn), self.batch, NFormMode.FLUX).realized
+
+    @cached_property
+    def mixed_nvector(self) -> ScalarField:
+        """The n-vector increment of g along the inverse map, the variant half
+        of `perturb_mixed_pair`."""
+        return pushforward_nvector(self.batched(self.scene.gv), inverse_increment(self.batch)).realized
+
+    @cached_property
+    def one_form(self) -> VectorField:
+        """The 1-form increment of u, one member at a time, stacked."""
+        return stack_members([perturb_1form(self.scene.u, d).realized for d in self.each_member()])
+
+    @cached_property
+    def tsw_drifts(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(energy drift, momentum drift) per member over one perturbation-only
+        TSW step."""
+        state = self.scene.state
+        batched = TSWState(self.batched(state.h), self.batched(state.theta),
+                           VectorField(state.grid, tuple(self.batched(c) for c in state.u.components)))
+        new = tsw_spde_step(batched, TSWParams(), self.scene.basis, self.dt, np.random.default_rng(0),
+                            rhs_enabled=False, increment=self.batch)
+        e0, _, p0 = tsw_invariants(state)
+        return [(np.array([e1 - e0]), np.array([p1[0] - p0[0], p1[1] - p0[1]]))
+                for e1, _, p1 in tsw_invariants(new)]
+
+
+# ---------------------------------------------------------------------------
+# per-step defect metrics: each gives a level's per-member defect arrays, in
+# member order (an array with a leading member axis, or a list); the study
+# averages them over the symmetric ensemble before taking the RMS
+
+def _mismatch(tensor_class: TensorClass, field, closed, maps: NodeMaps):
+    """The closed-form increment ``closed`` minus the oracle's remapped field
+    minus ``field``, with a 1-form's components on the axis in front of the
+    grid axes."""
+    remapped = oracle_remap(tensor_class, field, maps)
     if isinstance(field, VectorField):
         return np.stack(
             [r.values - (o.values - f.values)
-             for r, o, f in zip(closed.realized.components, remapped.components, field.components)]
-        )
-    return closed.realized.values - (remapped.values - field.values)
+             for r, o, f in zip(closed.components, remapped.components, field.components)],
+            axis=-1 - field.grid.dim)
+    return closed.values - (remapped.values - field.values)
 
 
-def metric_mismatch_0form(scene: Scene2D, d: DiffeoIncrement):
-    return _mismatch(TensorClass.ZERO_FORM, scene.f0, perturb_0form(scene.f0, d), d)
+def metric_mismatch_0form(level: StudyLevel):
+    f = level.scene.f0
+    return _mismatch(TensorClass.ZERO_FORM, f, perturb_0form(level.batched(f), level.batch).realized, level.maps)
 
 
-def metric_mismatch_nform(scene: Scene2D, d: DiffeoIncrement):
-    return _mismatch(TensorClass.N_FORM, scene.fn, perturb_nform(scene.fn, d, NFormMode.FLUX), d)
+def metric_mismatch_nform(level: StudyLevel):
+    return _mismatch(TensorClass.N_FORM, level.scene.fn, level.nform, level.maps)
 
 
-def metric_mismatch_1form(scene: Scene2D, d: DiffeoIncrement):
-    return _mismatch(TensorClass.ONE_FORM, scene.u, perturb_1form(scene.u, d), d)
+def metric_mismatch_1form(level: StudyLevel):
+    return _mismatch(TensorClass.ONE_FORM, level.scene.u, level.one_form, level.maps)
 
 
-def metric_mismatch_nvector(scene: Scene2D, d: DiffeoIncrement):
-    return _mismatch(TensorClass.N_VECTOR, scene.gv, pushforward_nvector(scene.gv, d), d)
+def metric_mismatch_nvector(level: StudyLevel):
+    g = level.scene.gv
+    return _mismatch(TensorClass.N_VECTOR, g, pushforward_nvector(level.batched(g), level.batch).realized,
+                     level.maps)
 
 
-def metric_composition(scene: Scene2D, d: DiffeoIncrement):
-    roundtrip = forward_map(d, inverse_map(d))
-    return scene.grid.wrap_displacement(roundtrip - scene.grid.points())
+def metric_composition(level: StudyLevel):
+    grid = level.scene.grid
+    roundtrip = forward_map(level.batch, level.maps.inverse)
+    return grid.wrap_displacement(roundtrip - grid.points())
 
 
-def metric_drift_int_fg(scene: Scene2D, d: DiffeoIncrement):
-    fh = scene.fn + perturb_nform(scene.fn, d, NFormMode.FLUX).realized
-    gh = scene.gv + perturb_0form(scene.gv, d).realized
-    return np.array([integrate(fh * gh) - integrate(scene.fn * scene.gv)])
+def metric_drift_int_fg(level: StudyLevel):
+    scene = level.scene
+    fh = scene.fn + level.nform
+    gh = scene.gv + perturb_0form(level.batched(scene.gv), level.batch).realized
+    base = integrate(scene.fn * scene.gv)
+    return [np.array([value - base]) for value in member_integrals(fh * gh)]
 
 
-def metric_drift_int_f2g(scene: Scene2D, d: DiffeoIncrement):
-    rf, rg = perturb_mixed_pair(scene.fn, scene.gv, d)
-    fh = scene.fn + rf.realized
-    gh = scene.gv + rg.realized
-    return np.array([integrate(fh * fh * gh) - integrate(scene.fn * scene.fn * scene.gv)])
+def metric_drift_int_f2g(level: StudyLevel):
+    scene = level.scene
+    fh = scene.fn + level.nform
+    gh = scene.gv + level.mixed_nvector
+    base = integrate(scene.fn * scene.fn * scene.gv)
+    return [np.array([value - base]) for value in member_integrals(fh * fh * gh)]
 
 
-def metric_pairing_pointwise(scene: Scene2D, d: DiffeoIncrement):
-    rf, rg = perturb_mixed_pair(scene.fn, scene.gv, d)
-    fh = scene.fn + rf.realized
-    gh = scene.gv + rg.realized
-    return sample_at(fh * gh, inverse_map(d)).reshape(scene.grid.shape) - (scene.fn * scene.gv).values
+def metric_pairing_pointwise(level: StudyLevel):
+    scene = level.scene
+    pairing = (scene.fn + level.nform) * (scene.gv + level.mixed_nvector)
+    return sample_at(pairing, level.maps.inverse).reshape(pairing.values.shape) - (scene.fn * scene.gv).values
+
+
+def metric_vorticity_commutation(level: StudyLevel):
+    """`invariants.vorticity_commutation_defect` of each member: the curl of
+    its 1-form increment of u minus the pointwise n-form increment of curl u."""
+    rhs = perturb_nform(level.batched(curl(level.scene.u)), level.batch, NFormMode.POINTWISE).realized
+    return curl(level.one_form).values - rhs.values
 
 
 def metric_drift_helicity(scene: Scene3D, d: DiffeoIncrement):
@@ -285,15 +376,7 @@ def metric_drift_helicity(scene: Scene3D, d: DiffeoIncrement):
     return np.array([helicity(uhat) - scene.base_helicity])
 
 
-def metric_drift_tsw(scene: SceneTSW, d: DiffeoIncrement):
-    new = tsw_spde_step(scene.state, TSWParams(), scene.basis, d.dt, np.random.default_rng(0),
-                        rhs_enabled=False, increment=d)
-    e0, m0, p0 = tsw_invariants(scene.state)
-    e1, m1, p1 = tsw_invariants(new)
-    return np.array([e1 - e0]), np.array([p1[0] - p0[0], p1[1] - p0[1]])
-
-
-# every study metric: name -> (scene dimension, scene builder, per-step defect)
+# every study metric: name -> (scene dimension, scene builder, per-member defects of a level)
 _STUDY = {
     "mismatch_0form": (2, make_scene_2d, metric_mismatch_0form),
     "mismatch_1form": (2, make_scene_2d, metric_mismatch_1form),
@@ -303,10 +386,11 @@ _STUDY = {
     "drift_int_fg": (2, make_scene_2d, metric_drift_int_fg),
     "drift_int_f2g": (2, make_scene_2d, metric_drift_int_f2g),
     "pairing_pointwise": (2, make_scene_2d, metric_pairing_pointwise),
-    "vorticity_commutation_joint": (2, make_scene_2d, lambda scene, d: vorticity_commutation_defect(scene.u, d)),
-    "drift_helicity": (3, make_scene_3d, metric_drift_helicity),
-    "drift_tsw_energy": (2, make_scene_tsw, lambda scene, d: metric_drift_tsw(scene, d)[0]),
-    "drift_tsw_momentum": (2, make_scene_tsw, lambda scene, d: metric_drift_tsw(scene, d)[1]),
+    "vorticity_commutation_joint": (2, make_scene_2d, metric_vorticity_commutation),
+    "drift_helicity": (3, make_scene_3d,
+                       lambda level: [metric_drift_helicity(level.scene, d) for d in level.each_member()]),
+    "drift_tsw_energy": (2, make_scene_tsw, lambda level: [e for e, _ in level.tsw_drifts]),
+    "drift_tsw_momentum": (2, make_scene_tsw, lambda level: [p for _, p in level.tsw_drifts]),
 }
 
 STUDY_METRICS = tuple(_STUDY)
@@ -321,14 +405,35 @@ class StudyRow:
     slope: float = float("nan")
 
 
-def _ensemble_mean_defect(make_d, metric, ensemble: np.ndarray, dt: float) -> float:
-    acc = None
-    for row in ensemble:
-        d = make_d(BrownianIncrements(dt=dt, eta=np.sqrt(dt) * row))
-        defect = np.asarray(metric(d), dtype=float)
+def _member_mean_rms(defects) -> float:
+    """RMS over entries of the member mean of the defects, summed in member order."""
+    acc, members = None, 0
+    for members, defect in enumerate(defects, 1):
+        defect = np.asarray(defect, dtype=float)
         acc = defect if acc is None else acc + defect
-    mean = acc / ensemble.shape[0]
+    mean = acc / members
     return float(np.sqrt(np.mean(mean**2)))
+
+
+def _study_values(metrics, dts, scene_at, n_pairs: int, seed: int, safety: float = 1.0) -> dict[str, list]:
+    """Each metric's ensemble-mean defect at each dt, level by level.
+
+    At each dt, every scene kind the metrics read is one `StudyLevel` on the
+    scene ``scene_at(dt, dim, make_scene)``; its metrics run in the order
+    given and share what it caches, and it is dropped before the next scene
+    kind is built.
+    """
+    kinds: dict = {}
+    for metric in dict.fromkeys(metrics):
+        kinds.setdefault(_STUDY[metric][:2], []).append(metric)
+    values = {metric: [] for metric in dict.fromkeys(metrics)}
+    for dt in dts:
+        for (dim, make_scene), group in kinds.items():
+            level = StudyLevel(scene_at(dt, dim, make_scene), dt, n_pairs, seed, safety)
+            for metric in group:
+                values[metric].append(_member_mean_rms(_STUDY[metric][2](level)))
+            del level   # its cache goes before the next scene kind allocates
+    return values
 
 
 def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
@@ -341,22 +446,13 @@ def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
     if len(dts) < 3:
         raise ValueError("a convergence study needs at least 3 dt values")
     dts = sorted(dts, reverse=True)
+    values = _study_values(metrics, dts, lambda dt, dim, make_scene: make_scene(study_grid_points(dt, dim)),
+                           n_pairs, seed)
     rows: list[StudyRow] = []
     for metric in metrics:
-        dim, make_scene, defect = _STUDY[metric]
-        values = []
-        ns = []
-        for dt in dts:
-            n = study_grid_points(dt, dim)
-            scene = make_scene(n)
-            ens = symmetric_ensemble(scene.basis.n_modes, n_pairs, seed)
-            values.append(_ensemble_mean_defect(
-                lambda inc: DiffeoIncrement(scene.basis, inc),
-                lambda d: defect(scene, d), ens, dt))
-            ns.append(n)
-        slope = fit_loglog_slope(dts, values)
-        for dt, n, val in zip(dts, ns, values):
-            rows.append(StudyRow(metric, dt, n, val, slope))
+        slope = fit_loglog_slope(dts, values[metric])
+        rows += [StudyRow(metric, dt, study_grid_points(dt, _STUDY[metric][0]), value, slope)
+                 for dt, value in zip(dts, values[metric])]
     return rows
 
 
@@ -375,14 +471,8 @@ def vorticity_fixed_h_study(dts=DEFAULT_DTS, n: int = 128, seed: int = 0) -> tup
     "vorticity_commutation_joint" metric, at slope about 2.
     """
     scene = make_scene_2d(n)
-    ens = symmetric_ensemble(scene.basis.n_modes, 8, seed)
-    values = [
-        _ensemble_mean_defect(
-            lambda inc: DiffeoIncrement(scene.basis, inc, safety=2.5),
-            lambda d: vorticity_commutation_defect(scene.u, d), ens, dt,
-        )
-        for dt in dts
-    ]
+    values = _study_values(("vorticity_commutation_joint",), dts, lambda dt, dim, make_scene: scene, 8, seed,
+                           safety=2.5)["vorticity_commutation_joint"]
     return values, fit_loglog_slope(dts, values)
 
 

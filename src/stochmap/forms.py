@@ -31,8 +31,8 @@ wraps the sum once.  Every stencil goes through the one periodic kernel
 periodic slices for the end nodes and one multiply by 1/(2h).  The scalar
 classes and the flux n-form also take a batch of members, a field with a
 leading member axis under an increment batched the same way (see `grid` and
-`maps`), and give each member the bits of its own call; the 1-form, the volume
-multiplier and `oracle_remap` take one member.
+`maps`), and give each member the bits of its own call, as does
+`oracle_remap`; the 1-form and the volume multiplier take one member.
 
 The scalar classes share one increment form, assembled by `_scalar`:
 
@@ -368,7 +368,29 @@ def jacobian_determinant(d: DiffeoIncrement) -> ScalarField:
     return ScalarField(grid, det)
 
 
-def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
+class NodeMaps:
+    """The sampled map of one increment at the grid nodes, each part computed
+    on first read: `forward` (`forward_map`), `inverse` (`inverse_map`) and
+    `determinant` (`jacobian_determinant`).  Oracle calls given one NodeMaps
+    share its parts; no closed form reads them."""
+
+    def __init__(self, d: DiffeoIncrement):
+        self.d = d
+
+    @cached_property
+    def forward(self) -> Array:
+        return forward_map(self.d)
+
+    @cached_property
+    def inverse(self) -> Array:
+        return inverse_map(self.d)
+
+    @cached_property
+    def determinant(self) -> ScalarField:
+        return jacobian_determinant(self.d)
+
+
+def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement | NodeMaps):
     """Remap fields through the sampled map itself (no closed-form algebra).
 
     0-form:      f o T
@@ -376,33 +398,33 @@ def oracle_remap(theta_class: TensorClass, fields, d: DiffeoIncrement):
     volume form: det J_T
     1-form:      (f^p o T) d_j T^p
     n-vector:    (g o T^{-1}) (det J_T o T^{-1})
+
+    ``d`` is the increment, or its `NodeMaps` to share the maps with other
+    calls.  An increment batched over members remaps the field through each
+    member's map, with one `sample_at` call for all members.
     """
-    require_single_member(d, "oracle_remap")
-    grid = d.grid
+    maps = d if isinstance(d, NodeMaps) else NodeMaps(d)
+    d, grid = maps.d, maps.d.grid
+    shape = d.batch_shape + grid.shape
     if theta_class is TensorClass.ZERO_FORM:
-        fwd = forward_map(d)
-        return fields.with_values(sample_at(fields, fwd).reshape(grid.shape))
+        return fields.with_values(sample_at(fields, maps.forward).reshape(shape))
     if theta_class is TensorClass.VOLUME_FORM:
-        return jacobian_determinant(d)
+        return maps.determinant
     if theta_class is TensorClass.N_FORM:
-        fwd = forward_map(d)
-        det = jacobian_determinant(d)
-        return fields.with_values(sample_at(fields, fwd).reshape(grid.shape) * det.values)
+        return fields.with_values(sample_at(fields, maps.forward).reshape(shape) * maps.determinant.values)
     if theta_class is TensorClass.ONE_FORM:
-        fwd = forward_map(d)
         jac = map_jacobian(d)
-        sampled = [column.reshape(grid.shape) for column in sample_at(fields, fwd).T]
+        sampled = sample_at(fields, maps.forward)
+        sampled = [sampled[..., p].reshape(shape) for p in range(grid.dim)]
         comps = []
         for j in range(grid.dim):
-            acc = np.zeros(grid.shape)
+            acc = np.zeros(shape)
             for p in range(grid.dim):
                 acc += sampled[p] * jac[j][p].values
             comps.append(acc)
         return VectorField.from_arrays(grid, comps)
     if theta_class is TensorClass.N_VECTOR:
-        inv = inverse_map(d)
-        det = jacobian_determinant(d)
-        gvals = sample_at(fields, inv).reshape(grid.shape)
-        dvals = sample_at(det, inv).reshape(grid.shape)
+        gvals = sample_at(fields, maps.inverse).reshape(shape)
+        dvals = sample_at(maps.determinant, maps.inverse).reshape(shape)
         return fields.with_values(gvals * dvals)
     raise ValueError(f"unsupported tensor class {theta_class}")

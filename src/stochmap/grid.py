@@ -9,9 +9,9 @@ A field's values may carry one leading member axis in front of the grid
 axes (shape ``(members, *grid.shape)``): a batch of ensemble members stepped
 as one array, each member computed with the bits of its own single-member
 call.  What measures or writes one field (`min`, `max`, `calculus.integrate`,
-`calculus.sample_at`, `fldio.write_field`) takes one member and raises
-ValueError on a batch (`ScalarField.require_single_member`);
-`VectorField.max_norm` gives one value per member.  A check that fails on
+`fldio.write_field`) takes one member and raises ValueError on a batch
+(`ScalarField.require_single_member`); `VectorField.max_norm` gives one value
+per member, and `calculus.sample_at` samples each member at its own points.  A check that fails on
 one member of a batch says which (`member_error`), as does the finiteness
 scan of a batched field.  `stack_members` builds a batch from one field per
 member, and `ScalarField.members` gives each member's field back as a view.
@@ -95,7 +95,9 @@ class Grid:
     """Uniform lattice on the n-torus.
 
     Node ``k`` on axis ``p`` sits at ``k * spacing[p]`` with coordinates in
-    ``[0, extents[p])``; there is no duplicated endpoint row.
+    ``[0, extents[p])``; there is no duplicated endpoint row.  The derived
+    scalars (`dim`, `spacing`, `n_points`, `cell_volume`, `volume`) are
+    computed once per grid, on first read.
     """
 
     shape: tuple[int, ...]
@@ -115,7 +117,7 @@ class Grid:
         if any(ell <= 0 for ell in extents):
             raise ValueError("extents must be positive")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.shape)
 
@@ -133,7 +135,7 @@ class Grid:
     def min_spacing(self) -> float:
         return min(self.spacing)
 
-    @property
+    @cached_property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
 
@@ -143,11 +145,11 @@ class Grid:
         at least 1."""
         return max(1, BATCH_POINTS // self.n_points)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.extents))
 

@@ -28,8 +28,8 @@ member.  The step-size guard then checks each member on its own: per member,
 the max over nodes of the squared displacement norm, then one sqrt, equal to
 the max of the norms bit for bit.  It fails iff some member's own guard
 would fail, and its message names the first such member
-(`grid.member_error`).  The node-by-node
-map (`forward_map`, and so `inverse_map`) takes one member at a time.
+(`grid.member_error`).  The map (`forward_map`, and so `inverse_map`) of a
+batch gives each member's map, with the bits of its own call.
 
 At the grid nodes the map is its definition, the nodes plus the node
 displacement a dt + xi (`displacement_field`): `forward_map(d)` and
@@ -119,19 +119,21 @@ class DiffeoIncrement:
     @cached_property
     def noise_displacement(self) -> list[Array]:
         """xi^p = sum_i eta_i e_i^p at the nodes, one array per axis (zeros
-        without modes), summed in mode order; shape (members, *grid.shape)
-        for eta of shape (members, m).  An inverse increment negates its
-        forward increment's."""
+        without modes), summed in mode order from the first mode's product;
+        shape (members, *grid.shape) for eta of shape (members, m).  An
+        inverse increment negates its forward increment's."""
         if self.forward is not None:
             return [np.negative(x) for x in self.forward.noise_displacement]
-        eta = self.increments.eta
-        shape = self.batch_shape + self.grid.shape
-        xi = [np.zeros(shape) for _ in range(self.grid.dim)]
-        term = np.empty(shape)
-        for i, e in enumerate(self.basis.modes):
-            eta_i = eta[..., i].reshape(self.batch_shape + (1,) * self.grid.dim)
+        modes = self.basis.modes
+        if not modes:
+            return [np.zeros(self.batch_shape + self.grid.shape) for _ in range(self.grid.dim)]
+        eta = self.increments.eta.reshape(self.batch_shape + (1,) * self.grid.dim + (len(modes),))
+        xi = [np.multiply(c.values, eta[..., 0]) for c in modes[0].components]
+        term = None
+        for i, e in enumerate(modes[1:], 1):
             for p in range(self.grid.dim):
-                xi[p] += np.multiply(e.components[p].values, eta_i, out=term)
+                term = np.multiply(e.components[p].values, eta[..., i], out=term)
+                xi[p] += term
         return xi
 
 
@@ -173,7 +175,10 @@ def displacement_field(d: DiffeoIncrement) -> VectorField:
 
 
 def forward_map(d: DiffeoIncrement, points: Array | None = None) -> Array:
-    """T(points), wrapped back into the fundamental domain, shape (N, dim).
+    """T(points), wrapped back into the fundamental domain, shape (N, dim);
+    for an increment batched over M members, shape (M, N, dim), each member's
+    map with the bits of its own call, and ``points``, if given, one set of
+    shape (M, N, dim) per member.
 
     Without ``points``, T at the grid nodes in C order: the nodes plus the
     node displacement `displacement_field` itself, which is the definition of
@@ -186,10 +191,9 @@ def forward_map(d: DiffeoIncrement, points: Array | None = None) -> Array:
     not always round to ``k``, and Catmull-Rom reproduces node values
     exactly only in exact arithmetic.
     """
-    require_single_member(d, "forward_map")
     disp = displacement_field(d)
     if points is None:
-        at_nodes = np.stack([c.values.reshape(-1) for c in disp.components], axis=-1)
+        at_nodes = np.stack([c.values.reshape(d.batch_shape + (-1,)) for c in disp.components], axis=-1)
         return d.grid.wrap(d.grid.points() + at_nodes)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     return d.grid.wrap(pts + sample_at(disp, pts))

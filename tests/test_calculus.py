@@ -421,6 +421,25 @@ def test_sample_at_of_a_vector_field_stacks_its_components():
         sample_at(batch, pts[:3])
 
 
+def test_sample_at_of_an_ensemble_is_each_members_own_call():
+    # one field at each member's points, and a field batched over members at
+    # one point set per member, equal the per-member calls bit for bit; 3 x
+    # 20 000 points in 2D cross the 2^15-point chunks inside a member
+    rng = np.random.default_rng(14)
+    for g in (Grid((12, 9), (2.0, 5.0)), Grid((6, 9, 5), (1.0, 2.5, 0.7))):
+        pts = rng.uniform(-2.0, 2.0, (3, 20_000, g.dim)) * np.asarray(g.extents)
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        batch = ScalarField(g, rng.standard_normal((3,) + g.shape))
+        v = VectorField.from_arrays(g, [rng.standard_normal((3,) + g.shape) for _ in range(g.dim)])
+        for got, want in [(sample_at(f, pts), [sample_at(f, x) for x in pts]),
+                          (sample_at(batch, pts), [sample_at(m, x) for m, x in zip(batch.members(), pts)]),
+                          (sample_at(v, pts), [sample_at(VectorField(g, tuple(c.members()[k] for c in v.components)), x)
+                                               for k, x in enumerate(pts)])]:
+            assert got.tobytes() == np.stack(want).tobytes()
+        with pytest.raises(ValueError, match=r"a batch takes one set per member, \(3, N"):
+            sample_at(batch, pts[:2])
+
+
 def test_sample_at_3d_memory_stays_under_the_old_gathered_array():
     # 46^3 nodes span twelve 8192-point chunks; the fancy-index kernel's
     # gathered values alone took 2^15 points x 64 entries x 8 bytes per chunk

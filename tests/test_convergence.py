@@ -1,10 +1,15 @@
+import collections
+
 import numpy as np
 import pytest
 
 import stochmap.convergence as convergence
 import stochmap.grid as grid
 from stochmap.convergence import (
+    DEFAULT_DTS,
+    StudyLevel,
     fit_loglog_slope,
+    make_scene_2d,
     make_scene_3d,
     matched_increment_ensemble,
     metric_drift_helicity,
@@ -14,6 +19,7 @@ from stochmap.convergence import (
     weak_advection_study,
 )
 from stochmap.grid import Grid, ScalarField, TensorClass, VectorField
+from stochmap.invariants import vorticity_commutation_defect
 from stochmap.maps import DiffeoIncrement
 from stochmap.models import advection_diffusion_rhs, two_step_forecast
 from stochmap.noise import BrownianIncrements, ModeSpec, build_fourier_basis
@@ -91,6 +97,51 @@ def test_run_study_rows_layout():
     assert len({r.slope for r in rows}) == 1  # shared fitted slope
     assert rows[0].dt > rows[-1].dt
     assert rows[0].value > rows[-1].value
+
+
+@pytest.mark.parametrize("subset", [
+    ("drift_tsw_momentum", "mismatch_1form", "pairing_pointwise", "drift_tsw_energy"),
+    ("vorticity_commutation_joint", "drift_helicity", "mismatch_nform", "composition_residual", "drift_int_f2g"),
+], ids=["tsw_2d", "2d_3d"])
+def test_run_study_of_metrics_sharing_a_level_equals_each_metric_alone(subset):
+    # the metrics of one level share its increments, closed forms and maps;
+    # none of them sees state another one left behind
+    dts = DEFAULT_DTS[:3]
+    together = run_study(metrics=subset, dts=dts, seed=2)
+    alone = [row for metric in subset for row in run_study(metrics=(metric,), dts=dts, seed=2)]
+    assert together == alone
+
+
+def test_run_study_builds_each_scene_once_per_level(monkeypatch):
+    # 4 levels: one 2D, one 3D and one TSW scene each, and one TSW step batched
+    # over the 16 members, where a metric-by-metric loop built 36 2D and 8 TSW
+    # scenes and stepped 128 single members
+    builds = collections.Counter()
+    counting = {}
+    for metric, (dim, build, defect) in list(convergence._STUDY.items()):
+        if build not in counting:
+            def count(n, build=build):
+                builds[build.__name__] += 1
+                return build(n)
+            counting[build] = count
+        monkeypatch.setitem(convergence._STUDY, metric, (dim, counting[build], defect))
+    steps = []
+    step = convergence.tsw_spde_step
+
+    def recording(state, *args, **kwargs):
+        steps.append(state.h.batch_shape)
+        return step(state, *args, **kwargs)
+
+    monkeypatch.setattr(convergence, "tsw_spde_step", recording)
+    run_study()
+    assert builds == {"make_scene_2d": 4, "make_scene_3d": 4, "make_scene_tsw": 4}
+    assert steps == [(16,)] * 4
+
+
+def test_the_study_vorticity_metric_is_the_commutation_defect_of_each_member():
+    level = StudyLevel(make_scene_2d(32), 1e-2, n_pairs=8, seed=3)
+    want = [vorticity_commutation_defect(level.scene.u, d) for d in level.each_member()]
+    assert convergence.metric_vorticity_commutation(level).tobytes() == np.stack(want).tobytes()
 
 
 def test_weak_study_in_ragged_batches_equals_one_member_at_a_time(monkeypatch):

@@ -316,25 +316,50 @@ def test_1form_requires_two_dimensions():
 
 
 def test_single_member_operators_reject_a_batched_increment():
-    # the 1-form, the map and the remap oracle take one member at a time
+    # the 1-form and the volume multiplier take one member at a time
     g = grid2(16)
     basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.1, 0.05), solenoidal=False)])
     d = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full((2, 1), 0.01)))
     f = smooth(g, lambda x, y: 1.0 + 0.2 * np.sin(x))
     with pytest.raises(ValueError, match=r"perturb_1form takes one member; .* batched over \(2,\)"):
         perturb_1form(VectorField(g, (f, f)), d)
-    with pytest.raises(ValueError, match="forward_map takes one member"):
-        forward_map(d, g.points())
-    with pytest.raises(ValueError, match="forward_map takes one member"):
-        inverse_map(d, g.points())
-    with pytest.raises(ValueError, match="oracle_remap takes one member"):
-        oracle_remap(TensorClass.ZERO_FORM, f, d)
     with pytest.raises(ValueError, match="perturb_volume_multiplier takes one member"):
         perturb_volume_multiplier(d)
     one = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full(1, 0.01)))
     fs = ScalarField(g, np.stack([f.values, f.values]))
     with pytest.raises(ValueError, match=r"perturb_1form takes one member; got a field batched over \(2,\)"):
         perturb_1form(VectorField(g, (fs, fs)), one)
+
+
+@pytest.mark.parametrize("scene", ["2d", "3d"])
+def test_the_map_and_the_oracle_of_a_batch_are_each_members_own_calls(scene):
+    # forward and inverse maps (at the nodes and at points), the Jacobian
+    # determinant and the oracle of every class on an increment batched over
+    # members equal the per-member calls bit for bit
+    g = grid2(16) if scene == "2d" else Grid((8, 8, 8), (TWO_PI,) * 3)
+    modes = [ModeSpec(k=(1, 1) + (0,) * (g.dim - 2), amplitude=(0.1, 0.05) + (0.0,) * (g.dim - 2),
+                      solenoidal=False),
+             ModeSpec(k=(0, 2) + (1,) * (g.dim - 2), amplitude=(0.12,) + (0.0,) * (g.dim - 1))]
+    basis = build_fourier_basis(g, modes, drift=VectorField.constant(g, (0.15, -0.1, 0.05)[:g.dim]))
+    eta = np.random.default_rng(4).normal(0.0, 0.03, (3, 2))
+    batch = DiffeoIncrement(basis, BrownianIncrements(1e-3, eta))
+    members = [DiffeoIncrement(basis, BrownianIncrements(1e-3, row)) for row in eta]
+    rng = np.random.default_rng(8)
+    f = ScalarField(g, 1.0 + 0.3 * rng.standard_normal(g.shape))
+    v = VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(g.dim)])
+    points = rng.uniform(-1.0, 8.0, (3, 40, g.dim))
+    for got, want in [
+        (forward_map(batch), [forward_map(d) for d in members]),
+        (inverse_map(batch), [inverse_map(d) for d in members]),
+        (forward_map(batch, points), [forward_map(d, x) for d, x in zip(members, points)]),
+        (inverse_map(batch, points), [inverse_map(d, x) for d, x in zip(members, points)]),
+        (jacobian_determinant(batch).values, [jacobian_determinant(d).values for d in members]),
+    ] + [(oracle_remap(cls, f, batch).values, [oracle_remap(cls, f, d).values for d in members])
+         for cls in (TensorClass.ZERO_FORM, TensorClass.N_FORM, TensorClass.VOLUME_FORM, TensorClass.N_VECTOR)]:
+        assert got.tobytes() == np.stack(want).tobytes()
+    for p, got in enumerate(oracle_remap(TensorClass.ONE_FORM, v, batch).components):
+        want = [oracle_remap(TensorClass.ONE_FORM, v, d).components[p].values for d in members]
+        assert got.values.tobytes() == np.stack(want).tobytes()
 
 
 # --- n-vector ---------------------------------------------------------------

@@ -160,8 +160,9 @@ def test_guard_of_a_drift_free_basis_squares_xi_and_leaves_it_unchanged(modes):
     assert not basis.has_drift
     eta = np.random.default_rng(6).normal(0.0, 0.03, size=(4, basis.n_modes))
     d = DiffeoIncrement(basis, BrownianIncrements(2.5e-3, eta), safety=4.0)
-    xi = [np.zeros((4,) + g.shape) for _ in range(2)]
-    for i, e in enumerate(basis.modes):
+    # summed from the first mode's product, so an exact zero keeps its sign
+    xi = [c.values * eta[:, 0, None, None] for c in basis.modes[0].components]
+    for i, e in enumerate(basis.modes[1:], 1):
         for p in range(2):
             xi[p] += e.components[p].values * eta[:, i, None, None]
     for got, want in zip(d.noise_displacement, xi):
