@@ -423,10 +423,10 @@ def _study_values(metrics, dts, scene_at, n_pairs: int, seed: int, safety: float
     given and share what it caches, and it is dropped before the next scene
     kind is built.
     """
+    values = {metric: [] for metric in metrics}
     kinds: dict = {}
-    for metric in dict.fromkeys(metrics):
+    for metric in values:
         kinds.setdefault(_STUDY[metric][:2], []).append(metric)
-    values = {metric: [] for metric in dict.fromkeys(metrics)}
     for dt in dts:
         for (dim, make_scene), group in kinds.items():
             level = StudyLevel(scene_at(dt, dim, make_scene), dt, n_pairs, seed, safety)

@@ -11,9 +11,9 @@ as one array, each member computed with the bits of its own single-member
 call.  What measures or writes one field (`min`, `max`, `calculus.integrate`,
 `fldio.write_field`) takes one member and raises ValueError on a batch
 (`ScalarField.require_single_member`); `VectorField.max_norm` gives one value
-per member, and `calculus.sample_at` samples each member at its own points.  A check that fails on
-one member of a batch says which (`member_error`), as does the finiteness
-scan of a batched field.  `stack_members` builds a batch from one field per
+per member, and `calculus.sample_at` samples each member at its own points.
+A check that fails on one member of a batch says which (`member_error`), as
+does the finiteness scan of a batched field.  `stack_members` builds a batch from one field per
 member, and `ScalarField.members` gives each member's field back as a view.
 Ensembles are stepped in batches of `BATCH_POINTS` grid points per array
 (`Grid.members_per_batch`).
