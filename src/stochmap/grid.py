@@ -13,10 +13,10 @@ call.  What measures or writes one field (`min`, `max`, `calculus.integrate`,
 (`ScalarField.require_single_member`); `VectorField.max_norm` gives one value
 per member, and `calculus.sample_at` samples each member at its own points.
 A check that fails on one member of a batch says which (`member_error`), as
-does the finiteness scan of a batched field.  `stack_members` builds a batch from one field per
-member, and `ScalarField.members` gives each member's field back as a view.
-Ensembles are stepped in batches of `BATCH_POINTS` grid points per array
-(`Grid.members_per_batch`).
+does the finiteness scan of a batched field.  `stack_members` builds a batch
+from one field per member, and `ScalarField.members` gives each member's
+field back as a view.  Ensembles are stepped in batches of `BATCH_POINTS`
+grid points per array (`Grid.members_per_batch`).
 
 Allocator policy: on Linux with glibc, importing this module sets two malloc
 parameters once, for the whole process (`keep_freed_heap`), so that the

@@ -36,16 +36,20 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
+
+def _study(expr: str, filename: str):
+    """The command line that writes ``expr``, a str or bytes made from
+    `stochmap.convergence`, to ``filename`` in the output directory."""
+    code = ("import pickle, sys; from stochmap.convergence import *; result = " + expr + "; "
+            f"open(sys.argv[1] + '/{filename}', 'wb' if isinstance(result, bytes) else 'w').write(result)")
+    return lambda out: [sys.executable, "-c", code, out]
+
+
 # output name -> its command line, given the directory the output goes to
-WRITE = "import sys; from stochmap.convergence import {0}; open(sys.argv[1] + '/{1}', 'w').write({2})"
 OUTPUTS = {
-    "run_study": lambda out: [sys.executable, "-c", WRITE.format(
-        "run_study", "rows.txt", "''.join(repr(row) + chr(10) for row in run_study())"), out],
-    "vorticity_fixed_h_study": lambda out: [sys.executable, "-c", WRITE.format(
-        "vorticity_fixed_h_study", "values.txt", "repr(vorticity_fixed_h_study())"), out],
-    "weak_advection_study": lambda out: [sys.executable, "-c", WRITE.format(
-        "weak_advection_study", "weak.pkl", "__import__('pickle').dumps(weak_advection_study(members=64, seed=9))"
-    ).replace("'w')", "'wb')"), out],
+    "run_study": _study("''.join(repr(row) + chr(10) for row in run_study())", "rows.txt"),
+    "vorticity_fixed_h_study": _study("repr(vorticity_fixed_h_study())", "values.txt"),
+    "weak_advection_study": _study("pickle.dumps(weak_advection_study(members=64, seed=9))", "weak.pkl"),
     "tsw_ensemble_4": lambda out: [sys.executable, "-m", "stochmap.cli", "simulate", "configs/tsw.cfg",
                                    "--set", "run.ensemble=4", "--set", f"output.directory={out}"],
     "advection": lambda out: [sys.executable, "-m", "stochmap.cli", "simulate", "configs/advection.cfg",
@@ -97,7 +101,8 @@ def _difference(a: Path, b: Path) -> dict:
         if x.shape != y.shape:
             out[series] = {"differs": f"{x.size} values against {y.size}"}
         elif x.tobytes() != y.tobytes():
-            gap = np.abs(x - y)
+            with np.errstate(invalid="ignore"):     # inf - inf where both sides are inf
+                gap = np.abs(x - y)
             scale = np.maximum(np.abs(x), np.abs(y))
             rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0)
             out[series] = {"max_abs": float(np.nanmax(gap)), "max_rel": float(np.nanmax(rel))}
