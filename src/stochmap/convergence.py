@@ -25,9 +25,11 @@ read once, as one `StudyLevel`, whose metrics share one set of increments,
 closed forms and maps.  The 16 members of the symmetric ensemble sit on the
 member axis: one increment batched over them drives the scalar classes, the
 maps, the remap oracle and the TSW step once for all, each member with the
-bits of its own call; the 1-form, 2D or 3D, steps one member at a time.  Each
-metric sums its member defects in member order, so every value equals a
-member-by-member, metric-by-metric loop exactly.
+bits of its own call.  The 1-form, 2D or 3D, steps one member at a time from
+its member-invariant parts (`forms.OneFormParts`: the drift and the per-mode
+noise rows of u), built once per scene and so, in `vorticity_fixed_h_study`,
+once for all its levels.  Each metric sums its member defects in member order,
+so every value equals a member-by-member, metric-by-metric loop exactly.
 
 The weak-mean study (`weak_advection_study`) steps its members in batches,
 `grid.BATCH_POINTS` grid points per array (4 members at 64^2), through the
@@ -46,6 +48,7 @@ from .calculus import curl, integrate, member_integrals, sample_at
 from .forms import (
     NFormMode,
     NodeMaps,
+    OneFormParts,
     oracle_remap,
     perturb_0form,
     perturb_1form,
@@ -123,13 +126,16 @@ def fit_loglog_slope(dts, values) -> float:
     """Least-squares slope of log(value) against log(dt).
 
     Defects that sit at the round-off floor are conserved exactly rather
-    than decaying at a measurable order; they report +inf, which any
-    slope threshold accepts.
+    than decaying at a measurable order; a series wholly below it reports
+    +inf, which any slope threshold accepts.  Any other series with a value
+    <= 0 has no logarithm to fit and reports nan, which none accepts.
     """
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.any(values <= 0) or values.max() < ROUNDOFF_FLOOR:
+    if values.max() < ROUNDOFF_FLOOR:
         return float("inf")
+    if np.any(values <= 0):
+        return float("nan")
     return float(np.polyfit(np.log(dts), np.log(values), 1)[0])
 
 
@@ -142,8 +148,18 @@ def study_grid_points(dt: float, dim: int) -> int:
     return max(n, 16)
 
 
+class _VelocityScene:
+    """A scene whose velocity ``u`` is transported as a 1-form under its ``basis``."""
+
+    @cached_property
+    def u_parts(self) -> OneFormParts:
+        """The parts of u's 1-form increment that no draw changes, read by every
+        member at every dt."""
+        return OneFormParts(self.u, self.basis)
+
+
 @dataclass
-class Scene2D:
+class Scene2D(_VelocityScene):
     grid: Grid
     f0: ScalarField       # generic smooth scalar (0-form)
     fn: ScalarField       # density-like scalar (n-form)
@@ -176,7 +192,7 @@ def make_scene_2d(n: int) -> Scene2D:
 
 
 @dataclass
-class Scene3D:
+class Scene3D(_VelocityScene):
     grid: Grid
     u: VectorField
     basis: NoiseBasis
@@ -245,7 +261,8 @@ class StudyLevel:
     on first read and kept while the level lives.  The ensemble is one
     increment batched over the members (`batch`), acting on the scene fields
     broadcast over them (`batched`); the 1-form takes one member at a time
-    (`each_member`).
+    (`each_member`), each call summing the noise rows of the scene's
+    `u_parts`, which every level on that scene shares.
     """
 
     def __init__(self, scene, dt: float, n_pairs: int, seed: int, safety: float = 1.0):
@@ -283,7 +300,7 @@ class StudyLevel:
     @cached_property
     def one_form(self) -> VectorField:
         """The 1-form increment of u, one member at a time, stacked."""
-        return stack_members([perturb_1form(self.scene.u, d).realized for d in self.each_member()])
+        return stack_members([perturb_1form(self.scene.u_parts, d).realized for d in self.each_member()])
 
     @cached_property
     def tsw_drifts(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -372,7 +389,7 @@ def metric_vorticity_commutation(level: StudyLevel):
 
 
 def metric_drift_helicity(scene: Scene3D, d: DiffeoIncrement):
-    uhat = scene.u + perturb_1form(scene.u, d).realized
+    uhat = scene.u + perturb_1form(scene.u_parts, d).realized
     return np.array([helicity(uhat) - scene.base_helicity])
 
 

@@ -6,8 +6,9 @@ Every operator returns the increment decomposed as
 
 where noise is the realised noise term of the increment's eta draw, read
 from the one noise displacement xi = sum_i eta_i e_i (it is linear in xi)
-rather than mode by mode; only the 1-form, whose drift visits every mode,
-sums its noise per mode.  It is evaluated at the input field (explicit in time).
+rather than mode by mode; only the 1-form sums its noise per mode, weighting
+per-mode rows that no draw changes by eta.  It is evaluated at the input field
+(explicit in time).
 
 `oracle_remap` is the formula-free cross-check: it remaps the field through
 the sampled map itself, using cubic interpolation and finite-difference
@@ -53,8 +54,11 @@ velocity b = a + (1/2)(b_e - s_e), so that mass stays exact.  The rows are
 step-invariant, and those a forecast step reads are tables on `NoiseBasis`
 (`volume_drift`, `nvector_rows`, `flux_velocity`), built on first read from
 the sums over modes in `NoiseBasis.geometry`; the pointwise n-form adds its
-c1 per call.  Only the 1-form's coupling term, and its noise with it, visits
-the modes one by one.
+c1 per call.  Only the 1-form visits the modes one by one, in its coupling
+term and its noise rows.  Its drift and rows depend on the field and the basis
+but not on eta or dt, so `OneFormParts` builds them once for every member of
+an ensemble on one field, and a call on those parts only sums the rows
+weighted by eta.
 """
 from __future__ import annotations
 
@@ -70,6 +74,7 @@ from .calculus import derivative, sample_at
 from .grid import Array, Grid, ScalarField, TensorClass, VectorField
 from .maps import (DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map,
                    require_single_member)
+from .noise import NoiseBasis
 
 Fieldish = Union[ScalarField, VectorField]
 
@@ -267,37 +272,83 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
     return _assemble(grid, drift, noise, d)
 
 
-def perturb_1form(v: VectorField, d: DiffeoIncrement) -> PerturbationResult:
+class OneFormParts:
+    """The parts of the 1-form increment of ``v`` under ``basis`` that no draw
+    changes, built together on first read:
+
+      drift^j       = a.grad v^j + (1/2) e e : grad grad v^j
+                      + (d_j a^p) v^p + sum_i (d_j e_i^p) (e_i . grad v^p)
+      noise_rows[i] = the dim arrays e_i.grad v^j + (d_j e_i^p) v^p
+
+    Neither depends on eta or dt, so every member of an ensemble on one field
+    and basis, at every dt, reads the same parts (`perturb_1form`).  They are
+    read-only: a caller writing into them fails instead of changing the next
+    member's increment.
+    """
+
+    def __init__(self, v: VectorField, basis: NoiseBasis):
+        if v.grid.dim < 2:
+            raise ValueError("1-form transport needs dim >= 2")
+        v.components[0].require_single_member("perturb_1form")
+        self.v, self.basis = v, basis
+
+    @cached_property
+    def _parts(self) -> tuple[list[Array], list[list[Array]]]:
+        grid = self.v.grid
+        amat = self.basis.geometry.amat    # first, so it is not built while the arrays below are live
+        a = [c.values for c in self.basis.drift.components]
+        vv = [c.values for c in self.v.components]
+        grads = [_grad(c, grid) for c in vv]      # grads[p][q] = d_q v^p
+        drift = []
+        for j in range(grid.dim):
+            dj = _variance_quadratic(amat, grads[j], grid)
+            for p in range(grid.dim):
+                dj = dj + a[p] * grads[j][p] + _d(a[p], j, grid) * vv[p]
+            drift.append(dj)
+        modes = [[c.values for c in mode.components] for mode in self.basis.modes]
+        egrads = [[_dot_into(None, e, grads[p]) for p in range(grid.dim)] for e in modes]  # e . grad v^p
+        del grads     # before the rows allocate
+        rows = []
+        for e, egrad in zip(modes, egrads):
+            rows.append([])
+            for j in range(grid.dim):
+                de_j = [_d(c, j, grid) for c in e]                # d_j e^p, one row at a time
+                drift[j] += _dot_into(None, de_j, egrad)
+                rows[-1].append(egrad[j] + _dot_into(None, de_j, vv))
+        for part in drift + [r for row in rows for r in row]:
+            part.setflags(write=False)
+        return drift, rows
+
+    @property
+    def drift(self) -> list[Array]:
+        return self._parts[0]
+
+    @property
+    def noise_rows(self) -> list[list[Array]]:
+        return self._parts[1]
+
+
+def perturb_1form(v: VectorField | OneFormParts, d: DiffeoIncrement) -> PerturbationResult:
     """Covector components f_j dx^j (momentum-like velocity representation).
 
     drift^j = a.grad v^j + (1/2) e e : grad grad v^j
               + (d_j a^p) v^p + sum_i (d_j e_i^p) (e_i . grad v^p)
     noise^j = sum_i eta_i (e_i.grad v^j + (d_j e_i^p) v^p)
+
+    ``v`` is the field, or its `OneFormParts` under ``d``'s basis to share the
+    drift and the per-mode noise rows with other members: this call then only
+    sums the rows, weighted by eta, in mode order.
     """
-    grid = v.grid
-    if grid.dim < 2:
-        raise ValueError("1-form transport needs dim >= 2")
     require_single_member(d, "perturb_1form")
-    v.components[0].require_single_member("perturb_1form")
-    amat = d.basis.geometry.amat    # first, so it is not built while the arrays below are live
-    a = [c.values for c in d.basis.drift.components]
-    vv = [c.values for c in v.components]
-    grads = [_grad(c, grid) for c in vv]      # grads[p][q] = d_q v^p
-    drift = []
-    for j in range(grid.dim):
-        dj = _variance_quadratic(amat, grads[j], grid)
-        for p in range(grid.dim):
-            dj = dj + a[p] * grads[j][p] + _d(a[p], j, grid) * vv[p]
-        drift.append(dj)
+    parts = v if isinstance(v, OneFormParts) else OneFormParts(v, d.basis)
+    if parts.basis is not d.basis:
+        raise ValueError("perturb_1form: the 1-form parts were built for another basis than the increment's")
+    grid = parts.v.grid
     noise = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    for mode, eta in zip(d.basis.modes, d.increments.eta):
-        e = [c.values for c in mode.components]
-        egrad = [_dot_into(None, e, grads[p]) for p in range(grid.dim)]  # e . grad v^p
+    for row, eta in zip(parts.noise_rows, d.increments.eta):
         for j in range(grid.dim):
-            de_j = [_d(c, j, grid) for c in e]                # d_j e^p, one row at a time
-            drift[j] = drift[j] + _dot_into(None, de_j, egrad)
-            noise[j] += (egrad[j] + _dot_into(None, de_j, vv)) * float(eta)
-    return _assemble(grid, drift, noise, d)
+            noise[j] += row[j] * float(eta)
+    return _assemble(grid, list(parts.drift), noise, d)
 
 
 def pushforward_nvector(g: ScalarField, d: DiffeoIncrement) -> PerturbationResult:

@@ -1,4 +1,5 @@
 import collections
+import functools
 
 import numpy as np
 import pytest
@@ -74,6 +75,12 @@ def test_fit_loglog_slope_basics():
     assert fit_loglog_slope(dts, [d**1.5 for d in dts]) == pytest.approx(1.5, abs=1e-10)
     # series at the round-off floor report as conserved exactly
     assert fit_loglog_slope(dts, [1e-16, 2e-16, 1.5e-16]) == float("inf")
+    assert fit_loglog_slope(dts, [1e-16, 0.0, 1.5e-16]) == float("inf")
+
+
+def test_fit_loglog_slope_of_a_series_with_a_zero_above_the_floor_passes_no_gate():
+    slope = fit_loglog_slope([1e-2, 5e-3, 2.5e-3], [1e-3, 0.0, 1e-5])
+    assert np.isnan(slope) and not slope > 0.5
 
 
 def test_study_grid_points_co_refinement():
@@ -113,10 +120,20 @@ def test_run_study_of_metrics_sharing_a_level_equals_each_metric_alone(subset):
 
 
 def test_run_study_builds_each_scene_once_per_level(monkeypatch):
-    # 4 levels: one 2D, one 3D and one TSW scene each, and one TSW step batched
-    # over the 16 members, where a metric-by-metric loop built 36 2D and 8 TSW
-    # scenes and stepped 128 single members
+    # 4 levels: one 2D, one 3D and one TSW scene each, one set of 1-form parts
+    # per 2D and 3D scene and one TSW step batched over the 16 members, where
+    # a metric-by-metric loop built 36 2D and 8 TSW scenes, computed 128 full
+    # 1-form increments and stepped 128 single members
     builds = collections.Counter()
+    build_parts = convergence.OneFormParts._parts.func
+
+    class CountingParts(convergence.OneFormParts):
+        @functools.cached_property
+        def _parts(self):
+            builds["OneFormParts"] += 1
+            return build_parts(self)
+
+    monkeypatch.setattr(convergence, "OneFormParts", CountingParts)
     counting = {}
     for metric, (dim, build, defect) in list(convergence._STUDY.items()):
         if build not in counting:
@@ -134,7 +151,7 @@ def test_run_study_builds_each_scene_once_per_level(monkeypatch):
 
     monkeypatch.setattr(convergence, "tsw_spde_step", recording)
     run_study()
-    assert builds == {"make_scene_2d": 4, "make_scene_3d": 4, "make_scene_tsw": 4}
+    assert builds == {"make_scene_2d": 4, "make_scene_3d": 4, "make_scene_tsw": 4, "OneFormParts": 8}
     assert steps == [(16,)] * 4
 
 

@@ -16,6 +16,7 @@ from stochmap.noise import (
 from stochmap.maps import DiffeoIncrement, forward_map, inverse_increment, inverse_map, make_increment
 from stochmap.forms import (
     NFormMode,
+    OneFormParts,
     jacobian_determinant,
     map_jacobian,
     oracle_remap,
@@ -138,19 +139,30 @@ def test_every_operator_linear_in_the_field(op):
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+def drift_shear_and_two_wave_basis(g):
+    """A varying drift, a shear mode and a mode summing two non-parallel
+    compressive waves, on a 2D or 3D grid."""
+    dim = g.dim
+    two_wave = (
+        fourier_mode_field(g, ModeSpec(k=(1, 1, 1)[:dim], amplitude=(0.08, 0.05, 0.04)[:dim], solenoidal=False),
+                           "sin")
+        + fourier_mode_field(g, ModeSpec(k=(2, 0, 1)[:dim], amplitude=(0.03, 0.06, 0.02)[:dim], solenoidal=False),
+                             "cos")
+    )
+    shear = build_fourier_basis(g, [ModeSpec(k=(1, 0, 0)[:dim], amplitude=(0.0, 0.2, 0.0)[:dim])]).modes
+    drift = VectorField(g, (smooth(g, lambda *x: 0.1 * np.sin(x[1])), ScalarField.constant(g, -0.05),
+                            smooth(g, lambda *x: 0.03 * np.cos(x[0])))[:dim])
+    return NoiseBasis(g, shear + (two_wave,), drift)
+
+
 @pytest.mark.parametrize("op", ["0form", "nform_flux", "nform_pointwise", "1form", "nvector", "volume"])
 def test_parts_are_arrays_that_compose_the_realisation(op):
     # drift and noise are raw arrays of the grid shape (a list of dim arrays
     # per 1-form part); the realised field is drift*dt + noise, bit for bit,
     # and the noise is the sum over modes of each one-mode basis's noise
     g = grid2(32)
-    two_wave = (
-        fourier_mode_field(g, ModeSpec(k=(1, 1), amplitude=(0.08, 0.05), solenoidal=False), "sin")
-        + fourier_mode_field(g, ModeSpec(k=(2, 0), amplitude=(0.03, 0.06), solenoidal=False), "cos")
-    )
-    shear = build_fourier_basis(g, [ModeSpec(k=(1, 0), amplitude=(0.0, 0.2))]).modes
-    drift = VectorField(g, (smooth(g, lambda x, y: 0.1 * np.sin(y)), ScalarField.constant(g, -0.05)))
-    basis = NoiseBasis(g, shear + (two_wave,), drift)
+    basis = drift_shear_and_two_wave_basis(g)
+    drift = basis.drift
     d = make_increment(basis, 1e-3, np.random.default_rng(4))
     f = smooth(g, lambda x, y: 1.0 + 0.3 * np.sin(x) * np.cos(2 * y))
     v = VectorField(g, (f, smooth(g, lambda x, y: 0.5 * np.cos(x + y))))
@@ -305,6 +317,40 @@ def test_1form_gradient_coupling_term():
     assert np.abs(r.noise[1] - eta * np.cos(y)).max() < eta * g.spacing[1] ** 2
     assert np.abs(r.noise[0]).max() < eta * 1e-15
     assert np.abs(r.drift[0]).max() < 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_1form_of_shared_parts_is_each_members_own_call(dim):
+    # the drift and noise rows built once give every member the bits of a
+    # call on the field
+    g = grid2(24) if dim == 2 else Grid((12, 12, 12), (TWO_PI,) * 3)
+    basis = drift_shear_and_two_wave_basis(g)
+    v = VectorField(g, (smooth(g, lambda *x: np.sin(x[1]) + 0.3 * np.cos(2 * x[0])),
+                        smooth(g, lambda *x: np.cos(x[0]) + 0.4 * np.sin(x[0] + x[-1])),
+                        smooth(g, lambda *x: 0.5 * np.sin(x[0] + x[1])))[:dim])
+    parts = OneFormParts(v, basis)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        d = make_increment(basis, 1e-3, rng)
+        shared, own = perturb_1form(parts, d), perturb_1form(v, d)
+        for part in ("drift", "noise", "increment"):
+            for got, want in zip(getattr(shared, part), getattr(own, part)):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_1form_parts_are_read_only_and_of_one_basis():
+    g = grid2(16)
+    basis = drift_shear_and_two_wave_basis(g)
+    v = VectorField(g, (smooth(g, lambda x, y: np.sin(y)), smooth(g, lambda x, y: np.cos(x))))
+    parts = OneFormParts(v, basis)
+    r = perturb_1form(parts, make_increment(basis, 1e-3, np.random.default_rng(1)))
+    with pytest.raises(ValueError, match="read-only"):
+        r.drift[0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        parts.noise_rows[0][1][:] = 0.0
+    same_modes = NoiseBasis(g, basis.modes, basis.drift)
+    with pytest.raises(ValueError, match="another basis"):
+        perturb_1form(parts, make_increment(same_modes, 1e-3, np.random.default_rng(1)))
 
 
 def test_1form_requires_two_dimensions():
@@ -552,6 +598,21 @@ def test_nvector_matches_remap_oracle():
         mean = antithetic_mean(basis, dt, lambda d: oracle_remap(TensorClass.N_VECTOR, f, d).values - f.values)
         result = pushforward_nvector(f, DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([0.0]))))
         assert np.abs(mean - result.drift * dt).max() < 5 * dt**2
+
+
+def test_1form_matches_remap_oracle():
+    # the gap is 0.7 (plane wave) and 2.1 (two waves) dt^2; with d_p e^j for
+    # d_j e^p it is 15 and 117 dt^2, without (d_j a^p) v^p 130 and 130, and
+    # without the coupling sum_i (d_j e_i^p)(e_i.grad v^p) 34 and 225
+    g = grid2()
+    dt = 1e-3
+    v = VectorField(g, (smooth(g, lambda x, y: np.sin(y) + 0.3 * np.cos(2 * x)),
+                        smooth(g, lambda x, y: np.cos(x) + 0.4 * np.sin(x + y))))
+    for basis in compressive_bases(g):
+        mean = antithetic_mean(basis, dt, lambda d: np.stack(
+            [o.values - c.values for o, c in zip(oracle_remap(TensorClass.ONE_FORM, v, d).components, v.components)]))
+        result = perturb_1form(v, DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([0.0]))))
+        assert np.abs(mean - np.stack(result.drift) * dt).max() < 5 * dt**2
 
 
 def test_1form_3d_oracle_consistency():

@@ -8,8 +8,13 @@ Run from the root of a source checkout.  The parent tree is extracted with
 other's package, and the change side is made twice.  The outputs:
 
 - every `run_study()` row (repr) and `vorticity_fixed_h_study()`;
-- the run trees of ``configs/tsw.cfg`` with ``run.ensemble=4``, and of
-  ``configs/advection.cfg``, without ``manifest.txt``;
+- the run trees, without ``manifest.txt``, of ``configs/tsw.cfg`` with
+  ``run.ensemble=4``, at 256^2 (``grid.points=256 256``, ``run.dt=6.25e-5``,
+  ``run.n_steps=32``, ``run.snapshot_interval=16``), with
+  ``noise.drift=salt`` and with ``run.nform_mode=pointwise``; of
+  ``configs/advection.cfg``; and of the ``perturbation_only`` model of
+  ``configs/verify.cfg`` with ``scalar.tensor_class`` set to ``zero_form``,
+  ``n_form`` and ``n_vector``;
 - a pickle of ``weak_advection_study(members=64, seed=9)``;
 - the text of ``stochmap verify configs/verify.cfg --fast``.
 
@@ -45,15 +50,27 @@ def _study(expr: str, filename: str):
     return lambda out: [sys.executable, "-c", code, out]
 
 
+def _simulate(config: str, *settings: str):
+    """The command line that runs ``config`` with each ``--set`` of
+    ``settings``, writing its run tree to the output directory."""
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    return lambda out: [sys.executable, "-m", "stochmap.cli", "simulate", config, *sets,
+                        "--set", f"output.directory={out}"]
+
+
 # output name -> its command line, given the directory the output goes to
 OUTPUTS = {
     "run_study": _study("''.join(repr(row) + chr(10) for row in run_study())", "rows.txt"),
     "vorticity_fixed_h_study": _study("repr(vorticity_fixed_h_study())", "values.txt"),
     "weak_advection_study": _study("pickle.dumps(weak_advection_study(members=64, seed=9))", "weak.pkl"),
-    "tsw_ensemble_4": lambda out: [sys.executable, "-m", "stochmap.cli", "simulate", "configs/tsw.cfg",
-                                   "--set", "run.ensemble=4", "--set", f"output.directory={out}"],
-    "advection": lambda out: [sys.executable, "-m", "stochmap.cli", "simulate", "configs/advection.cfg",
-                              "--set", f"output.directory={out}"],
+    "tsw_ensemble_4": _simulate("configs/tsw.cfg", "run.ensemble=4"),
+    "tsw_256": _simulate("configs/tsw.cfg", "grid.points=256 256", "run.dt=6.25e-5", "run.n_steps=32",
+                         "run.snapshot_interval=16"),
+    "tsw_salt": _simulate("configs/tsw.cfg", "noise.drift=salt"),
+    "tsw_pointwise": _simulate("configs/tsw.cfg", "run.nform_mode=pointwise"),
+    "advection": _simulate("configs/advection.cfg"),
+    **{f"perturbation_only_{cls}": _simulate("configs/verify.cfg", f"scalar.tensor_class={cls}")
+       for cls in ("zero_form", "n_form", "n_vector")},
     "verify_fast": lambda out: [sys.executable, "-m", "stochmap.cli", "verify", "configs/verify.cfg", "--fast"],
 }
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
