@@ -55,10 +55,8 @@ step-invariant, and those a forecast step reads are tables on `NoiseBasis`
 (`volume_drift`, `nvector_rows`, `flux_velocity`), built on first read from
 the sums over modes in `NoiseBasis.geometry`; the pointwise n-form adds its
 c1 per call.  Only the 1-form visits the modes one by one, in its coupling
-term and its noise rows.  Its drift and rows depend on the field and the basis
-but not on eta or dt, so `OneFormParts` builds them once for every member of
-an ensemble on one field, and a call on those parts only sums the rows
-weighted by eta.
+term and noise rows; those depend on the field and the basis only, so
+`OneFormParts` builds them once for all members on one field.
 """
 from __future__ import annotations
 
@@ -274,16 +272,10 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
 
 class OneFormParts:
     """The parts of the 1-form increment of ``v`` under ``basis`` that no draw
-    changes, built together on first read:
-
-      drift^j       = a.grad v^j + (1/2) e e : grad grad v^j
-                      + (d_j a^p) v^p + sum_i (d_j e_i^p) (e_i . grad v^p)
-      noise_rows[i] = the dim arrays e_i.grad v^j + (d_j e_i^p) v^p
-
-    Neither depends on eta or dt, so every member of an ensemble on one field
-    and basis, at every dt, reads the same parts (`perturb_1form`).  They are
-    read-only: a caller writing into them fails instead of changing the next
-    member's increment.
+    changes, built together on first read: the dim drift arrays and, per mode
+    i, the dim noise rows e_i.grad v^j + (d_j e_i^p) v^p that `perturb_1form`
+    weights by eta_i.  They are read-only, so a caller writing into them fails
+    instead of changing the next member's increment.
     """
 
     def __init__(self, v: VectorField, basis: NoiseBasis):
