@@ -33,6 +33,8 @@ per member, each member's flat index offset by the size of its padded array.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .grid import Array, Grid, ScalarField, VectorField
@@ -41,7 +43,6 @@ from .grid import Array, Grid, ScalarField, VectorField
 # chunk's flat index and gathered values (8 MB together) stay under the
 # gathered array of a 2^15-point 3D chunk gathered by fancy indexing.
 _STENCIL_ENTRIES = 1 << 19
-_EINSUM = {1: "na,na->n", 2: "nab,na,nb->n", 3: "nabc,na,nb,nc->n"}
 
 
 def _axis_slices(axis: int) -> tuple[tuple[slice, ...], ...]:
@@ -151,18 +152,16 @@ def dot(a: VectorField, b: VectorField) -> ScalarField:
 # point evaluation
 
 def _catmull_rom_weights(t: Array) -> Array:
-    """Weights for nodes (-1, 0, 1, 2) at fractional offset t in [0, 1)."""
+    """Weights for nodes (-1, 0, 1, 2) at fractional offsets t in [0, 1),
+    shape (4,) + t.shape."""
     t2 = t * t
     t3 = t2 * t
-    return np.stack(
-        [
-            0.5 * (-t + 2.0 * t2 - t3),
-            0.5 * (2.0 - 5.0 * t2 + 3.0 * t3),
-            0.5 * (t + 4.0 * t2 - 3.0 * t3),
-            0.5 * (-t2 + t3),
-        ],
-        axis=-1,
-    )
+    return np.stack([
+        0.5 * (-t + 2.0 * t2 - t3),
+        0.5 * (2.0 - 5.0 * t2 + 3.0 * t3),
+        0.5 * (t + 4.0 * t2 - 3.0 * t3),
+        0.5 * (-t2 + t3),
+    ])
 
 
 def sample_at(f: ScalarField | VectorField, points: Array) -> Array:
@@ -172,13 +171,16 @@ def sample_at(f: ScalarField | VectorField, points: Array) -> Array:
     and (..., dim) for a VectorField, whose components share one stencil.
     A field batched over M members takes one point set per member, points of
     shape (M, N, dim), and samples each member at its own points.
+
+    Per chunk of points, each field is gathered entry-major, shape
+    (4**dim, N), and contracted with the weights by `_contract`.
     """
     vector = isinstance(f, VectorField)
     comps = f.components if vector else (f,)
     grid = f.grid
     batch = comps[0].batch_shape
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[-1] != grid.dim:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 0 or pts.shape[-1] != grid.dim:
         raise ValueError(f"points must have {grid.dim} columns")
     if batch and pts.shape[:-2] != batch:
         raise ValueError(f"sample_at takes one member; got a field batched over {batch} and points of shape "
@@ -188,22 +190,25 @@ def sample_at(f: ScalarField | VectorField, points: Array) -> Array:
     padded = [np.pad(c.values, [(0, 0)] * len(batch) + [(1, 2)] * grid.dim, mode="wrap").ravel()
               for c in comps]
     member_size = padded[0].size // batch[0] if batch else 0
-    subscripts = _EINSUM[grid.dim]
     chunk = _STENCIL_ENTRIES // 4**grid.dim
     out = np.empty((pts.shape[0], len(comps)))
+    acc, term = np.empty((2, min(chunk, pts.shape[0])))
     for start in range(0, pts.shape[0], chunk):
         sl = slice(start, min(start + chunk, pts.shape[0]))
         # in a batch, point i belongs to member i // N, whose padded array starts at member * member_size
         first = np.arange(sl.start, sl.stop) // lead[-1] * member_size if batch else 0
         lin, wts = _stencil(grid, pts[sl], first)
+        n = sl.stop - sl.start
         for k, values in enumerate(padded):
-            out[sl, k] = np.einsum(subscripts, values.take(lin), *wts)
+            out[sl, k] = _contract(values.take(lin), wts, acc[:n], term[:n])
     return out.reshape(lead + (len(comps),)) if vector else out[:, 0].reshape(lead)
 
 
 def _stencil(grid: Grid, pts: Array, first: Array | int = 0) -> tuple[Array, list[Array]]:
-    """The 4**dim padded flat indices of each point's stencil, shape
-    (N, 4, ..., 4), and its per-axis Catmull-Rom weights, each (N, 4).
+    """Each point's stencil, entry-major: the padded flat index of each of the
+    4**dim entries, shape (4**dim, N) with the entries (a, b[, c]) in C order,
+    and per axis the Catmull-Rom weights, each (4, N).  Entry (a, b, c) is
+    weighted by ``wts[0][a] * wts[1][b] * wts[2][c]``.
 
     Node ``base - 1 + a`` on an axis of n nodes sits at ``mod(base, n) + a``
     in an array padded by one node before and two after; ``first`` is the
@@ -218,7 +223,34 @@ def _stencil(grid: Grid, pts: Array, first: Array | int = 0) -> tuple[Array, lis
     lin += first
     padded_shape = tuple(n + 3 for n in grid.shape)
     offsets = np.ravel_multi_index(np.indices((4,) * grid.dim), padded_shape)
-    return lin.reshape((-1,) + (1,) * grid.dim) + offsets, wts
+    return offsets.reshape(-1, 1) + lin, wts
+
+
+def _contract(gathered: Array, wts: list[Array], acc: Array, term: Array) -> Array:
+    """Sum over the stencil entries of gathered value times weights, into
+    ``acc``, with ``term`` as scratch: the products and the order of their sum
+    are those of numpy's `einsum` over the point-major layout, so each result
+    keeps its bits.
+
+    In 2D and 3D einsum forms each entry's ``(v * w0[a]) * w1[b] [* w2[c]]``
+    and adds it to a sum started from +0.0, entry by entry in C order of
+    (a, b[, c]); the +0.0 start turns a sum of -0.0 products into +0.0.  In
+    1D its two-operand kernel adds the four products ``p = v * w0`` in two
+    vector lanes, then the lanes: ``(p0 + p2) + (p1 + p3)``, onto +0.0."""
+    if len(wts) == 1:
+        np.multiply(gathered, wts[0], out=gathered)
+        np.add(gathered[0], gathered[2], out=acc)
+        np.add(gathered[1], gathered[3], out=term)
+        acc += term
+        acc += 0.0
+        return acc
+    acc[...] = 0.0
+    for e, entry in enumerate(itertools.product(range(4), repeat=len(wts))):
+        np.multiply(gathered[e], wts[0][entry[0]], out=term)
+        for p in range(1, len(wts)):
+            term *= wts[p][entry[p]]
+        acc += term
+    return acc
 
 
 def _check_axis(grid: Grid, axis: int) -> None:

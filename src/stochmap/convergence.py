@@ -460,8 +460,17 @@ def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
     Defect fields are averaged over a symmetric moment-matched ensemble
     before taking norms; see the module docstring for why.
     """
-    if len(dts) < 3:
-        raise ValueError("a convergence study needs at least 3 dt values")
+    metrics = tuple(metrics)
+    if not metrics:
+        raise ValueError("a convergence study needs at least one metric")
+    unknown = [metric for metric in metrics if metric not in _STUDY]
+    if unknown:
+        raise ValueError(f"unknown metrics {unknown}; available: {list(STUDY_METRICS)}")
+    for dt in dts:
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if len(set(dts)) < 3:
+        raise ValueError(f"a convergence study needs at least 3 distinct dt values, got {sorted(set(dts))}")
     dts = sorted(dts, reverse=True)
     values = _study_values(metrics, dts, lambda dt, dim, make_scene: make_scene(study_grid_points(dt, dim)),
                            n_pairs, seed)

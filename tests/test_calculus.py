@@ -5,6 +5,7 @@ import pytest
 
 from stochmap.grid import Grid, NonFiniteError, ScalarField, VectorField, stack_members
 from stochmap.calculus import (
+    _STENCIL_ENTRIES,
     _catmull_rom_weights,
     centered_difference,
     curl,
@@ -372,7 +373,7 @@ def _fancy_index_sample(f, pts, chunk=1 << 15):
             xi = pts[sl, p] / grid.spacing[p]
             base = np.floor(xi).astype(np.int64)
             idx.append(np.mod(base[:, None] + np.arange(-1, 3), grid.shape[p]))
-            wts.append(_catmull_rom_weights(xi - base))
+            wts.append(np.ascontiguousarray(_catmull_rom_weights(xi - base).T))
         if grid.dim == 1:
             out[sl] = np.einsum("na,na->n", f.values[idx[0]], *wts)
         elif grid.dim == 2:
@@ -406,6 +407,41 @@ def test_sample_at_is_bitwise_the_fancy_index_kernel(shape, extents):
     }
     for name, pts in point_sets.items():
         assert np.array_equal(sample_at(f, pts), _fancy_index_sample(f, pts)), name
+
+
+@pytest.mark.parametrize("shape, extents, n", [
+    ((7,), (3.0,), 50_000), ((12, 9), (2.0, 5.0), 20_000), ((6, 9, 5), (1.0, 2.5, 0.7), 5_000),
+])
+def test_sample_at_of_a_batch_is_bitwise_the_fancy_index_kernel_per_member(shape, extents, n):
+    # each member of a batch, at its own points, has the reference's bits;
+    # one member's points straddle a chunk of the flattened batch (2^17
+    # points in 1D, 2^15 in 2D, 8192 in 3D)
+    rng = np.random.default_rng(15)
+    g = Grid(shape, extents)
+    batch = ScalarField(g, rng.standard_normal((3,) + shape))
+    pts = rng.uniform(-2.0, 2.0, (3, n, g.dim)) * np.asarray(extents)
+    chunk = _STENCIL_ENTRIES // 4**g.dim
+    assert any(m * n // chunk != ((m + 1) * n - 1) // chunk for m in range(3))
+    got = sample_at(batch, pts)
+    assert got.shape == (3, n)
+    for member, x, row in zip(batch.members(), pts, got):
+        assert row.tobytes() == _fancy_index_sample(member, x).tobytes()
+
+
+def test_sample_at_of_one_point_has_the_point_set_shape():
+    # points (dim,) give a scalar () and a vector (dim,), with the bits of a
+    # one-point set; points without a coordinate axis are refused
+    rng = np.random.default_rng(16)
+    for g in (Grid((7,), (3.0,)), Grid((12, 9), (2.0, 5.0)), Grid((6, 9, 5), (1.0, 2.5, 0.7))):
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        v = VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(g.dim)])
+        x = rng.uniform(-2.0, 2.0, g.dim) * np.asarray(g.extents)
+        for field, shape in ((f, ()), (v, (g.dim,))):
+            got = sample_at(field, x)
+            assert got.shape == shape
+            assert got.tobytes() == sample_at(field, x[None]).tobytes()
+        with pytest.raises(ValueError, match=f"points must have {g.dim} columns"):
+            sample_at(f, 0.5)
 
 
 def test_sample_at_of_a_vector_field_stacks_its_components():

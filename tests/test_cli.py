@@ -1,6 +1,8 @@
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from stochmap.cli import main
 from stochmap.fldio import read_field
@@ -112,6 +114,29 @@ def test_converge_requires_three_dts(tmp_path, capsys):
 def test_converge_unknown_metric(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["converge", str(cfg), "--metrics", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("dts, message", [
+    ("1e-2,0,5e-3", "dt must be finite and > 0, got 0.0"),
+    ("1e-2,-5e-3,2.5e-3", "dt must be finite and > 0, got -0.005"),
+    ("1e-2,nan,2.5e-3", "dt must be finite and > 0, got nan"),
+    ("1e-2,inf,2.5e-3", "dt must be finite and > 0, got inf"),
+    ("1e-2,1e-2,1e-2", r"at least 3 distinct dt values, got \[0.01\]"),
+    ("1e-2,5e-3,1e-2", r"at least 3 distinct dt values, got \[0.005, 0.01\]"),
+])
+def test_converge_rejects_a_bad_dt_ladder_before_the_study(tmp_path, capsys, dts, message):
+    cfg = write_cfg(tmp_path, "conv_out")
+    assert main(["converge", str(cfg), "--dts", dts, "--metrics", "composition_residual"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(message, err), err
+    assert not (tmp_path / "conv_out").exists()
+
+
+def test_converge_rejects_an_empty_metric_list(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "conv_out")
+    assert main(["converge", str(cfg), "--dts", "1e-2,5e-3,2.5e-3", "--metrics", ","]) == 1
+    assert capsys.readouterr().err == "error: a convergence study needs at least one metric\n"
+    assert not (tmp_path / "conv_out").exists()
 
 
 def test_converge_writes_csv(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The comparer of tools/parity.py, on two small synthetic run trees."""
 import importlib.util
+import pickle
 import shutil
 from pathlib import Path
 
@@ -37,3 +38,13 @@ def test_a_missing_file_is_reported(tmp_path):
     (a / "rows.txt").unlink()
     assert parity.compare_trees(a, b) == {"member_000/energy.csv": "missing in second tree",
                                           "rows.txt": "missing in first tree"}
+
+
+def test_a_pickled_dict_of_arrays_is_compared_per_key(tmp_path):
+    arrays = {"2d scalar": np.array([0.5, 1.5]), "2d vector": np.arange(4.0).reshape(2, 2)}
+    for name, bump in (("a", 0.0), ("b", 1.0)):
+        (tmp_path / name).mkdir()
+        value = dict(arrays, **{"2d vector": arrays["2d vector"] + np.array([[0.0, 0.0], [0.0, bump]])})
+        (tmp_path / name / "sample_at.pkl").write_bytes(pickle.dumps(value))
+    assert parity.compare_trees(tmp_path / "a", tmp_path / "b") == {
+        "sample_at.pkl": {"2d vector": {"max_abs": 1.0, "max_rel": 0.25}}}

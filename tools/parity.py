@@ -16,12 +16,17 @@ other's package, and the change side is made twice.  The outputs:
   ``configs/verify.cfg`` with ``scalar.tensor_class`` set to ``zero_form``,
   ``n_form`` and ``n_vector``;
 - a pickle of ``weak_advection_study(members=64, seed=9)``;
+- a pickle of `calculus.sample_at` of seeded scalar and vector fields, one
+  field and one batched over 3 members, at seeded points off the nodes in
+  1D, 2D and 3D; each dimension's single-field point set spans more than
+  one interpolation chunk;
 - the text of ``stochmap verify configs/verify.cfg --fast``.
 
 The last line of standard output is one JSON object.  Per output it says
 ``identical``, or gives per differing file the largest absolute and relative
 difference of its numbers: per column of a CSV file, per line of a text
-file, over all values of a ``.fld`` snapshot or a pickle.  ``rerun_identical``
+file, over all values of a ``.fld`` snapshot or a pickle (per key of a pickled
+dict of arrays).  ``rerun_identical``
 says whether the change side's second run was byte-identical to its first.
 """
 import argparse
@@ -58,11 +63,34 @@ def _simulate(config: str, *settings: str):
                         "--set", f"output.directory={out}"]
 
 
+# sample_at of a scalar and a vector field, one field and a 3-member batch, at
+# off-node points in each dimension; 140 000 / 40 000 / 9000 points are more
+# than one chunk (2^17 / 2^15 / 8192 points)
+_SAMPLE_AT = """
+import pickle, sys
+import numpy as np
+from stochmap.calculus import sample_at
+from stochmap.grid import Grid, ScalarField, VectorField
+rng = np.random.default_rng(24)
+result = {}
+for shape, extents, n in (((7,), (3.0,), 140_000), ((12, 9), (2.0, 5.0), 40_000),
+                          ((6, 9, 5), (1.0, 2.5, 0.7), 9_000)):
+    g = Grid(shape, extents)
+    for members, points in (((), n), ((3,), 5_000)):
+        pts = rng.uniform(-1.0, 2.0, members + (points, g.dim)) * np.asarray(extents)
+        scalar = ScalarField(g, rng.standard_normal(members + shape))
+        vector = VectorField.from_arrays(g, [rng.standard_normal(members + shape) for _ in range(g.dim)])
+        for kind, field in (("scalar", scalar), ("vector", vector)):
+            result[f"{g.dim}d {kind} {members}"] = sample_at(field, pts)
+open(sys.argv[1] + "/sample_at.pkl", "wb").write(pickle.dumps(result))
+"""
+
 # output name -> its command line, given the directory the output goes to
 OUTPUTS = {
     "run_study": _study("''.join(repr(row) + chr(10) for row in run_study())", "rows.txt"),
     "vorticity_fixed_h_study": _study("repr(vorticity_fixed_h_study())", "values.txt"),
     "weak_advection_study": _study("pickle.dumps(weak_advection_study(members=64, seed=9))", "weak.pkl"),
+    "sample_at": lambda out: [sys.executable, "-c", _SAMPLE_AT, out],
     "tsw_ensemble_4": _simulate("configs/tsw.cfg", "run.ensemble=4"),
     "tsw_256": _simulate("configs/tsw.cfg", "grid.points=256 256", "run.dt=6.25e-5", "run.n_steps=32",
                          "run.snapshot_interval=16"),
@@ -98,7 +126,10 @@ def _numbers(path: Path) -> dict[str, list[float]]:
         header = data.split(b"\n", 3)
         return {"values": np.frombuffer(header[3], dtype="<f8").tolist()}
     if path.suffix == ".pkl":
-        return {"values": [float(x) for x in NUMBER.findall(repr(pickle.loads(data)))]}
+        value = pickle.loads(data)
+        if isinstance(value, dict) and all(isinstance(v, np.ndarray) for v in value.values()):
+            return {key: v.ravel().tolist() for key, v in value.items()}
+        return {"values": [float(x) for x in NUMBER.findall(repr(value))]}
     lines = data.decode().splitlines()
     if path.suffix == ".csv":
         columns = lines[0].split(",")
