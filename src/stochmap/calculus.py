@@ -18,13 +18,18 @@ flux-form conservation checks close to round-off.
 Point evaluation (`sample_at`) is separable Catmull-Rom cubic interpolation;
 it reproduces node values (exactly in exact arithmetic: ``x_k / h`` need not
 round to ``k``) and is fourth-order accurate at cell midpoints.  Each point
-set gets one stencil (`_stencil`): per axis the Catmull-Rom weights and the
-wrapped base node, folded into one flat index per stencil entry into the
-field padded periodically by one node before and two after each axis.  Every
-field sampled, a scalar or each component of a vector field, is padded once
-per call and gathered through that index with one flat `take`, then
-contracted with the weights by the same `einsum` as a fancy-indexed gather,
-with the same bits.  Points are taken in chunks of a fixed number of stencil
+set gets one stencil (`_stencil`), laid out entry-major: per axis the
+Catmull-Rom weights, shape (4, N), and the wrapped base node, folded into one
+flat index per stencil entry, shape (4**dim, N), into the field padded
+periodically by one node before and two after each axis.  Every field
+sampled, a scalar or each component of a vector field, is padded once per
+call and gathered through that index with one flat `take`.  The contraction
+(`_contract`) then forms each entry's ``(v * w0[a]) * w1[b] [* w2[c]]`` in
+one reused buffer and adds it to a sum started from +0.0, entry by entry in
+C order of (a, b[, c]); in 1D it adds the four products as
+``(p0 + p2) + (p1 + p3)``.  Those are the products and the summation order
+of numpy's `einsum` over a point-major gather, so every result keeps the
+bits of that kernel.  Points are taken in chunks of a fixed number of stencil
 entries (2^19: 2^15 points in 2D, 8192 in 3D), which bounds the index and
 gather temporaries.  A point's bits do not depend on its chunk, so the
 members of an ensemble are sampled by one call: one field at the members'
@@ -153,15 +158,29 @@ def dot(a: VectorField, b: VectorField) -> ScalarField:
 
 def _catmull_rom_weights(t: Array) -> Array:
     """Weights for nodes (-1, 0, 1, 2) at fractional offsets t in [0, 1),
-    shape (4,) + t.shape."""
+    shape (4,) + t.shape:
+
+        0.5 * (-t + 2 t^2 - t^3),     0.5 * (2 - 5 t^2 + 3 t^3),
+        0.5 * (t + 4 t^2 - 3 t^3),    0.5 * (-t^2 + t^3),
+
+    each summed left to right, written in place into the rows.  ``-a + b``
+    is computed as ``b - a``, which rounds the same."""
     t2 = t * t
     t3 = t2 * t
-    return np.stack([
-        0.5 * (-t + 2.0 * t2 - t3),
-        0.5 * (2.0 - 5.0 * t2 + 3.0 * t3),
-        0.5 * (t + 4.0 * t2 - 3.0 * t3),
-        0.5 * (-t2 + t3),
-    ])
+    three_t3 = 3.0 * t3
+    w = np.empty((4,) + t.shape)
+    np.multiply(2.0, t2, out=w[0])
+    w[0] -= t
+    w[0] -= t3
+    np.multiply(5.0, t2, out=w[1])
+    np.subtract(2.0, w[1], out=w[1])
+    w[1] += three_t3
+    np.multiply(4.0, t2, out=w[2])
+    np.add(t, w[2], out=w[2])
+    w[2] -= three_t3
+    np.subtract(t3, t2, out=w[3])
+    w *= 0.5
+    return w
 
 
 def sample_at(f: ScalarField | VectorField, points: Array) -> Array:
@@ -219,7 +238,7 @@ def _stencil(grid: Grid, pts: Array, first: Array | int = 0) -> tuple[Array, lis
         xi = pts[:, p] / grid.spacing[p]
         base = np.floor(xi).astype(np.int64)
         wts.append(_catmull_rom_weights(xi - base))
-        lin = lin * (grid.shape[p] + 3) + np.mod(base, grid.shape[p])
+        lin = lin * (grid.shape[p] + 3) + base - grid.shape[p] * (base // grid.shape[p])   # mod(base, n)
     lin += first
     padded_shape = tuple(n + 3 for n in grid.shape)
     offsets = np.ravel_multi_index(np.indices((4,) * grid.dim), padded_shape)
@@ -228,15 +247,16 @@ def _stencil(grid: Grid, pts: Array, first: Array | int = 0) -> tuple[Array, lis
 
 def _contract(gathered: Array, wts: list[Array], acc: Array, term: Array) -> Array:
     """Sum over the stencil entries of gathered value times weights, into
-    ``acc``, with ``term`` as scratch: the products and the order of their sum
-    are those of numpy's `einsum` over the point-major layout, so each result
-    keeps its bits.
+    ``acc``, with ``term`` (and in 1D ``gathered``) as scratch: the products
+    and the order of their sum are those of numpy's `einsum` over the
+    point-major layout, so each result keeps its bits.
 
     In 2D and 3D einsum forms each entry's ``(v * w0[a]) * w1[b] [* w2[c]]``
     and adds it to a sum started from +0.0, entry by entry in C order of
     (a, b[, c]); the +0.0 start turns a sum of -0.0 products into +0.0.  In
     1D its two-operand kernel adds the four products ``p = v * w0`` in two
-    vector lanes, then the lanes: ``(p0 + p2) + (p1 + p3)``, onto +0.0."""
+    lanes of a 128-bit vector, then the lanes: ``(p0 + p2) + (p1 + p3)``,
+    onto +0.0."""
     if len(wts) == 1:
         np.multiply(gathered, wts[0], out=gathered)
         np.add(gathered[0], gathered[2], out=acc)
