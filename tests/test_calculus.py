@@ -407,6 +407,12 @@ def test_sample_at_is_bitwise_the_fancy_index_kernel(shape, extents):
     }
     for name, pts in point_sets.items():
         assert np.array_equal(sample_at(f, pts), _fancy_index_sample(f, pts)), name
+    # at the origin every weight is +0.0 or 1.0, so every product of a -0.0
+    # field is -0.0; einsum's sums start from +0.0 and give +0.0
+    negative_zero, origin = ScalarField(g, np.full(shape, -0.0)), np.zeros((3, g.dim))
+    got = sample_at(negative_zero, origin)
+    assert got.tobytes() == _fancy_index_sample(negative_zero, origin).tobytes()
+    assert not np.signbit(got).any()
 
 
 @pytest.mark.parametrize("shape, extents, n", [
