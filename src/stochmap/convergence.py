@@ -28,8 +28,11 @@ maps, the remap oracle and the TSW step once for all, each member with the
 bits of its own call.  The 1-form, 2D or 3D, steps one member at a time from
 its member-invariant parts (`forms.OneFormParts`: the drift and the per-mode
 noise rows of u), built once per scene and so, in `vorticity_fixed_h_study`,
-once for all its levels.  Each metric sums its member defects in member order,
-so every value equals a member-by-member, metric-by-metric loop exactly.
+once for all its levels.  The 3D helicity drift builds no member's field: each
+member's guarded increment gives its draw, and one table of the scene
+(`Scene3D.helicity_table`) turns the draw into H(u + delta) - H(u).  Each
+metric sums its member defects in member order, so every value equals a
+member-by-member, metric-by-metric loop exactly.
 
 The weak-mean study (`weak_advection_study`) steps its members in batches,
 `grid.BATCH_POINTS` grid points per array (4 members at 64^2), through the
@@ -56,8 +59,8 @@ from .forms import (
     pushforward_nvector,
 )
 from .grid import Grid, ScalarField, TensorClass, VectorField, stack_members
-from .invariants import helicity, tsw_invariants
-from .maps import DiffeoIncrement, forward_map, inverse_increment
+from .invariants import tsw_invariants
+from .maps import DiffeoIncrement, forward_map, inverse_increment, require_single_member
 from .models import TSWState, tsw_spde_step, TSWParams, advection_diffusion_rhs, two_step_forecast
 from .noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
 
@@ -125,13 +128,16 @@ ROUNDOFF_FLOOR = 1e-13
 def fit_loglog_slope(dts, values) -> float:
     """Least-squares slope of log(value) against log(dt).
 
-    Defects that sit at the round-off floor are conserved exactly rather
-    than decaying at a measurable order; a series wholly below it reports
-    +inf, which any slope threshold accepts.  Any other series with a value
-    <= 0 has no logarithm to fit and reports nan, which none accepts.
+    Fewer than two distinct dts fix no slope, and report nan, which no slope
+    threshold accepts.  Defects that sit at the round-off floor are conserved
+    exactly rather than decaying at a measurable order; a series wholly below
+    it reports +inf, which any threshold accepts.  Any other series with a
+    value <= 0 has no logarithm to fit and reports nan.
     """
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
+    if len(set(dts)) < 2:
+        return float("nan")
     if values.max() < ROUNDOFF_FLOOR:
         return float("inf")
     if np.any(values <= 0):
@@ -193,10 +199,46 @@ def make_scene_2d(n: int) -> Scene2D:
 
 @dataclass
 class Scene3D(_VelocityScene):
+    """A 3D velocity u under two plane-wave modes and a constant drift.
+
+    The helicity study reads each member's drift H(u + delta) - H(u) from one
+    table of the scene, `helicity_table`, not from a helicity of each
+    member's field: u's 1-form increment under a draw is affine in it,
+    delta = dt D + sum_i eta_i N_i (`u_parts`), and the discrete helicity
+    H(v) = integral of v . curl v is quadratic in v.
+    """
     grid: Grid
     u: VectorField
     basis: NoiseBasis
-    base_helicity: float  # helicity(u), read by every member of the helicity study
+
+    @cached_property
+    def helicity_table(self) -> np.ndarray:
+        """Q[a, b] = integral of F_a . curl F_b for F = (u, D, N_1, ..., N_m),
+        built one curl at a time.  Each entry is summed as `invariants.helicity`
+        sums u . curl u, so Q[0, 0] is H(u) bit for bit."""
+        fields = [[c.values for c in self.u.components], self.u_parts.drift] + self.u_parts.noise_rows
+        table = np.empty((len(fields), len(fields)))
+        acc, term = np.empty(self.grid.shape), np.empty(self.grid.shape)
+        for b, rows in enumerate(fields):
+            curl_b = [c.values for c in curl(VectorField.from_arrays(self.grid, rows)).components]
+            for a, other in enumerate(fields):
+                np.multiply(other[0], curl_b[0], out=acc)
+                for p in (1, 2):
+                    acc += np.multiply(other[p], curl_b[p], out=term)
+                table[a, b] = acc.sum() * self.grid.cell_volume
+        return table
+
+    def helicity_drift(self, d: DiffeoIncrement) -> float:
+        """H(u + delta) - H(u) for u's 1-form increment delta under the draw
+        of ``d``: with c = (0, dt, eta_1, ..., eta_m), Q[0, :].c + c.Q[:, 0]
+        + c.Q.c.  Unlike a difference of two helicities, it cancels nothing
+        of size H(u)."""
+        require_single_member(d, "helicity_drift")
+        if d.basis is not self.basis:
+            raise ValueError("helicity_drift: the increment is not under the scene's basis")
+        c = np.concatenate(([0.0, d.dt], d.increments.eta))
+        table = self.helicity_table
+        return float(table[0] @ c + c @ table[:, 0] + c @ table @ c)
 
 
 def make_scene_3d(n: int) -> Scene3D:
@@ -218,7 +260,7 @@ def make_scene_3d(n: int) -> Scene3D:
         ],
         drift=drift,
     )
-    return Scene3D(g, u, basis, helicity(u))
+    return Scene3D(g, u, basis)
 
 
 @dataclass
@@ -388,11 +430,6 @@ def metric_vorticity_commutation(level: StudyLevel):
     return curl(level.one_form).values - rhs.values
 
 
-def metric_drift_helicity(scene: Scene3D, d: DiffeoIncrement):
-    uhat = scene.u + perturb_1form(scene.u_parts, d).realized
-    return np.array([helicity(uhat) - scene.base_helicity])
-
-
 # every study metric: name -> (scene dimension, scene builder, per-member defects of a level)
 _STUDY = {
     "mismatch_0form": (2, make_scene_2d, metric_mismatch_0form),
@@ -405,7 +442,7 @@ _STUDY = {
     "pairing_pointwise": (2, make_scene_2d, metric_pairing_pointwise),
     "vorticity_commutation_joint": (2, make_scene_2d, metric_vorticity_commutation),
     "drift_helicity": (3, make_scene_3d,
-                       lambda level: [metric_drift_helicity(level.scene, d) for d in level.each_member()]),
+                       lambda level: [np.array([level.scene.helicity_drift(d)]) for d in level.each_member()]),
     "drift_tsw_energy": (2, make_scene_tsw, lambda level: [e for e, _ in level.tsw_drifts]),
     "drift_tsw_momentum": (2, make_scene_tsw, lambda level: [p for _, p in level.tsw_drifts]),
 }
@@ -453,6 +490,16 @@ def _study_values(metrics, dts, scene_at, n_pairs: int, seed: int, safety: float
     return values
 
 
+def _check_dts(dts) -> None:
+    """Raise ValueError, naming the bad value, unless every dt is finite and
+    > 0 and there are at least 3 distinct ones."""
+    for dt in dts:
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if len(set(dts)) < 3:
+        raise ValueError(f"a convergence study needs at least 3 distinct dt values, got {sorted(set(dts))}")
+
+
 def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
               n_pairs: int = 8) -> list[StudyRow]:
     """Evaluate the per-step defect metrics over co-refined (grid, dt) levels.
@@ -466,11 +513,7 @@ def run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed: int = 0,
     unknown = [metric for metric in metrics if metric not in _STUDY]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}; available: {list(STUDY_METRICS)}")
-    for dt in dts:
-        if not (np.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    if len(set(dts)) < 3:
-        raise ValueError(f"a convergence study needs at least 3 distinct dt values, got {sorted(set(dts))}")
+    _check_dts(dts)
     dts = sorted(dts, reverse=True)
     values = _study_values(metrics, dts, lambda dt, dim, make_scene: make_scene(study_grid_points(dt, dim)),
                            n_pairs, seed)
@@ -496,6 +539,7 @@ def vorticity_fixed_h_study(dts=DEFAULT_DTS, n: int = 128, seed: int = 0) -> tup
     refined as dt^(1/2) the mean is O(dt^2); that is `run_study`'s
     "vorticity_commutation_joint" metric, at slope about 2.
     """
+    _check_dts(dts)
     scene = make_scene_2d(n)
     values = _study_values(("vorticity_commutation_joint",), dts, lambda dt, dim, make_scene: scene, 8, seed,
                            safety=2.5)["vorticity_commutation_joint"]
@@ -530,6 +574,13 @@ def weak_advection_study(
     Brownian paths via summation), whose ratios expose the weak order
     without the Monte-Carlo noise floor.
     """
+    for name, value in (("t_final", t_final), ("dt_coarse", dt_coarse)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if int(round(t_final / dt_coarse)) < 1:
+        raise ValueError(f"dt_coarse {dt_coarse!r} leaves no coarse step in t_final {t_final!r}")
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be >= 1, got {n_levels!r}")
     g = Grid((n, n), (TWO_PI, TWO_PI))
     f0 = ScalarField.from_function(
         g, lambda x, y: 1.0 + np.sin(x) * np.cos(y) + 0.5 * np.cos(2 * y) + 0.3 * np.sin(x + y)

@@ -363,7 +363,9 @@ def test_sample_3d_nodes_exact():
 def _fancy_index_sample(f, pts, chunk=1 << 15):
     """The kernel as it was before the shared stencil: per-axis wrapped index
     and weight tables, one fancy-indexed gather per field, 2^15 points per
-    chunk in every dimension."""
+    chunk in every dimension.  In 1D the four products p = v * w are summed
+    in the order `_contract` documents, written out, since the order numpy's
+    einsum takes there depends on how numpy was built."""
     grid = f.grid
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], chunk):
@@ -375,7 +377,8 @@ def _fancy_index_sample(f, pts, chunk=1 << 15):
             idx.append(np.mod(base[:, None] + np.arange(-1, 3), grid.shape[p]))
             wts.append(np.ascontiguousarray(_catmull_rom_weights(xi - base).T))
         if grid.dim == 1:
-            out[sl] = np.einsum("na,na->n", f.values[idx[0]], *wts)
+            p = f.values[idx[0]] * wts[0]
+            out[sl] = ((p[:, 0] + p[:, 2]) + (p[:, 1] + p[:, 3])) + 0.0
         elif grid.dim == 2:
             out[sl] = np.einsum("nab,na,nb->n", f.values[idx[0][:, :, None], idx[1][:, None, :]], *wts)
         else:

@@ -12,18 +12,21 @@ from stochmap.convergence import (
     fit_loglog_slope,
     make_scene_2d,
     make_scene_3d,
+    Scene3D,
     matched_increment_ensemble,
-    metric_drift_helicity,
     run_study,
     study_grid_points,
     symmetric_ensemble,
+    vorticity_fixed_h_study,
     weak_advection_study,
 )
+from stochmap.forms import perturb_1form
 from stochmap.grid import Grid, ScalarField, TensorClass, VectorField
-from stochmap.invariants import vorticity_commutation_defect
+from stochmap.invariants import helicity, vorticity_commutation_defect
 from stochmap.maps import DiffeoIncrement
 from stochmap.models import advection_diffusion_rhs, two_step_forecast
 from stochmap.noise import BrownianIncrements, ModeSpec, build_fourier_basis
+from test_forms import drift_shear_and_two_wave_basis
 
 
 def test_matched_ensemble_sum_property_and_moments():
@@ -81,6 +84,44 @@ def test_fit_loglog_slope_basics():
 def test_fit_loglog_slope_of_a_series_with_a_zero_above_the_floor_passes_no_gate():
     slope = fit_loglog_slope([1e-2, 5e-3, 2.5e-3], [1e-3, 0.0, 1e-5])
     assert np.isnan(slope) and not slope > 0.5
+
+
+@pytest.mark.parametrize("dts, values", [((1e-2,), (1e-3,)), ((1e-2,) * 3, (1e-3, 2e-3, 4e-3)),
+                                          ((1e-2,) * 3, (1e-16, 2e-16, 3e-16))],
+                         ids=["one_point", "one_dt_three_times", "one_dt_at_the_floor"])
+def test_fit_loglog_slope_of_fewer_than_two_distinct_dts_passes_no_gate(dts, values):
+    slope = fit_loglog_slope(dts, values)
+    assert np.isnan(slope) and not slope > 0.5
+
+
+@pytest.mark.parametrize("dts, match", [
+    ((1e-2,), "at least 3 distinct dt values"),
+    ((1e-2, 1e-2, 1e-2), "at least 3 distinct dt values"),
+    ((1e-2, 5e-3), "at least 3 distinct dt values"),
+    ((1e-2, 5e-3, float("nan")), "finite and > 0, got nan"),
+    ((1e-2, 5e-3, 0.0), "finite and > 0, got 0.0"),
+])
+def test_vorticity_fixed_h_study_rejects_the_dts_run_study_rejects(dts, match):
+    with pytest.raises(ValueError, match=match):
+        vorticity_fixed_h_study(dts=dts, n=32)
+    with pytest.raises(ValueError, match=match):
+        run_study(metrics=("composition_residual",), dts=dts)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"t_final": 0.0}, "t_final must be finite and > 0, got 0.0"),
+    ({"t_final": -0.1}, "t_final must be finite and > 0, got -0.1"),
+    ({"t_final": float("nan")}, "t_final must be finite and > 0, got nan"),
+    ({"t_final": float("inf")}, "t_final must be finite and > 0, got inf"),
+    ({"dt_coarse": 0.0}, "dt_coarse must be finite and > 0, got 0.0"),
+    ({"dt_coarse": float("nan")}, "dt_coarse must be finite and > 0, got nan"),
+    ({"dt_coarse": 1.0}, "dt_coarse 1.0 leaves no coarse step in t_final 0.1"),
+    ({"n_levels": 0}, "n_levels must be >= 1, got 0"),
+    ({"n_levels": -1}, "n_levels must be >= 1, got -1"),
+])
+def test_weak_advection_study_rejects_bad_inputs_by_value(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        weak_advection_study(members=8, **kwargs)
 
 
 def test_study_grid_points_co_refinement():
@@ -161,6 +202,71 @@ def test_the_study_vorticity_metric_is_the_commutation_defect_of_each_member():
     assert convergence.metric_vorticity_commutation(level).tobytes() == np.stack(want).tobytes()
 
 
+def _direct_helicity_drift(scene, d):
+    """H(u + delta) - H(u), with u's 1-form increment delta under d: two
+    helicities of size H(u), so it is off by the round-off of H(u)."""
+    return helicity(scene.u + perturb_1form(scene.u_parts, d).realized) - helicity(scene.u)
+
+
+def _two_wave_scene_3d(n):
+    """The 3D study velocity under a varying drift, a shear mode and a mode
+    summing two compressive waves."""
+    scene = make_scene_3d(n)
+    return Scene3D(scene.grid, scene.u, drift_shear_and_two_wave_basis(scene.grid))
+
+
+@pytest.mark.parametrize("build, n, dt", [(make_scene_3d, 16, 1e-2), (make_scene_3d, 22, 5e-3),
+                                          (_two_wave_scene_3d, 16, 1e-2)],
+                         ids=["study_16", "study_22", "two_wave_16"])
+def test_helicity_drift_from_the_table_is_the_direct_drift_of_each_member(build, n, dt):
+    # the two forms differ by the round-off of the direct one, which cancels
+    # two helicities of size H(u): 7e-14 of 360 at worst here
+    scene = build(n)
+    base = helicity(scene.u)
+    assert scene.helicity_table[0, 0] == base
+    for d in StudyLevel(scene, dt, n_pairs=8, seed=0).each_member():
+        assert scene.helicity_drift(d) == pytest.approx(_direct_helicity_drift(scene, d), rel=0.0,
+                                                        abs=1e-14 * abs(base))
+
+
+def _longdouble_helicity_drift(scene, d):
+    """The discrete H(u + delta) - H(u) of the study, with delta from u's
+    1-form parts, every step in long double and the centered difference
+    written with np.roll."""
+    ld, g = np.longdouble, scene.grid
+    u = [c.values.astype(ld) for c in scene.u.components]
+    parts = scene.u_parts
+    delta = [ld(d.dt) * parts.drift[j].astype(ld)
+             + sum(ld(eta) * rows[j].astype(ld) for eta, rows in zip(d.increments.eta, parts.noise_rows))
+             for j in range(3)]
+
+    def diff(v, axis):
+        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2 * ld(g.spacing[axis]))
+
+    def helicity_ld(v):
+        curl_v = (diff(v[2], 1) - diff(v[1], 2), diff(v[0], 2) - diff(v[2], 0), diff(v[1], 0) - diff(v[0], 1))
+        return sum((v[p] * curl_v[p]).sum() for p in range(3)) * np.prod([ld(h) for h in g.spacing])
+
+    return helicity_ld([up + dp for up, dp in zip(u, delta)]) - helicity_ld(u)
+
+
+def test_helicity_drift_from_the_table_is_within_round_off_of_a_long_double_evaluation():
+    # the direct form is off by up to 1.1e-13 here
+    scene = make_scene_3d(32)
+    for d in StudyLevel(scene, 2.5e-3, n_pairs=8, seed=0).each_member():
+        assert abs(np.longdouble(scene.helicity_drift(d)) - _longdouble_helicity_drift(scene, d)) < 1e-15
+
+
+def test_helicity_drift_takes_one_member_under_the_scene_basis():
+    scene = make_scene_3d(16)
+    level = StudyLevel(scene, 1e-2, n_pairs=8, seed=0)
+    with pytest.raises(ValueError, match="takes one member"):
+        scene.helicity_drift(level.batch)
+    other = make_scene_3d(16).basis
+    with pytest.raises(ValueError, match="not under the scene's basis"):
+        scene.helicity_drift(DiffeoIncrement(other, BrownianIncrements(1e-2, level.eta[0])))
+
+
 def test_weak_study_in_ragged_batches_equals_one_member_at_a_time(monkeypatch):
     # 18 members at 64^2 run as batches of 4, 4, 4, 4 and 2; the level means,
     # summed in member order, keep the bits of a member-by-member loop
@@ -218,10 +324,10 @@ def test_repeated_study_members_fault_no_pages_back_in():
 
     scene = make_scene_3d(46)
     d = DiffeoIncrement(scene.basis, BrownianIncrements(dt=1.25e-3, eta=np.array([0.035, -0.02])))
-    metric_drift_helicity(scene, d)
+    _direct_helicity_drift(scene, d)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        metric_drift_helicity(scene, d)
+        _direct_helicity_drift(scene, d)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
