@@ -53,7 +53,6 @@ from .invariants import (
     helicity,
     pairing_integral,
     product_integral,
-    total_integral,
     tsw_invariants,
 )
 from .models import (
@@ -63,8 +62,6 @@ from .models import (
     TSWState,
     advection_diffusion_rhs,
     lu_basis,
-    lu_correspondence_check,
-    lu_nform_check,
     salt_increment,
     tsw_deterministic_rhs,
     tsw_spde_step,

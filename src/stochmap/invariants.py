@@ -37,10 +37,6 @@ class DiagnosticSeries:
         return "\n".join(lines) + "\n"
 
 
-def total_integral(f: ScalarField) -> float:
-    return integrate(f)
-
-
 def product_integral(f: ScalarField, g: ScalarField, m: int) -> float:
     """Integral of f g^m (m = 0 reduces to the total integral of f)."""
     if f.grid != g.grid:

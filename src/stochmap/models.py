@@ -208,12 +208,6 @@ def lu_discrepancy_0form(d: DiffeoIncrement, f: ScalarField) -> float:
     return float(np.abs(got.values - ref.values).max())
 
 
-def lu_correspondence_check(basis: NoiseBasis, f: ScalarField, dt: float,
-                            rng: np.random.Generator) -> float:
-    d = make_increment(lu_basis(basis), dt, rng)
-    return lu_discrepancy_0form(d, f)
-
-
 def lu_discrepancy_nform(d: DiffeoIncrement, f: ScalarField) -> float:
     """Max-norm gap between the flux-form n-form increment under d and the
     transport-theorem form div((1/2 div A) f) + div((1/2) A grad f) with
@@ -251,12 +245,6 @@ def lu_discrepancy_nform(d: DiffeoIncrement, f: ScalarField) -> float:
         ref = ref + noise * float(eta)
     got = perturb_nform(f, d, NFormMode.FLUX).realized
     return float(np.abs(got.values - ref.values).max())
-
-
-def lu_nform_check(basis: NoiseBasis, f: ScalarField, dt: float,
-                   rng: np.random.Generator) -> float:
-    d = make_increment(lu_basis(basis), dt, rng)
-    return lu_discrepancy_nform(d, f)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +371,9 @@ def tsw_spde_step(
     vel, diff = basis.scales
     if rhs_enabled:
         vel = vel + (state.u.max_norm() + tsw_gravity_wave_speed(state))
-    if state.h.batch_shape:
-        for member, scale in enumerate(np.broadcast_to(vel, state.h.batch_shape)):
-            check_stability(state.grid, dt, float(scale), diff, c_stab, member)
-    else:
-        check_stability(state.grid, dt, vel, diff, c_stab)
+    batch = state.h.batch_shape
+    for member, scale in enumerate(np.broadcast_to(vel, batch or (1,))):
+        check_stability(state.grid, dt, float(scale), diff, c_stab, member if batch else None)
     rhs = (lambda _: tsw_deterministic_rhs(state, params)) if rhs_enabled else None
     new = two_step_forecast(
         state.as_dict(), rhs, TSW_ASSIGNMENT, basis, dt, rng,

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import centered_difference, divergence
+from .calculus import centered_difference
 from .grid import Array, Grid, VectorField
 
 
@@ -62,7 +62,6 @@ class NoiseBasis:
     grid: Grid
     modes: tuple[VectorField, ...]
     drift: VectorField
-    divergence_free: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -71,12 +70,6 @@ class NoiseBasis:
                 raise ValueError("all modes must live on the basis grid")
         if self.drift.grid != self.grid:
             raise ValueError("drift must live on the basis grid")
-        if self.divergence_free:
-            for i, e in enumerate(self.modes):
-                div_max = float(np.abs(divergence(e).values).max())
-                scale = max(e.max_norm(), 1.0)
-                if div_max > 1e-12 * scale:
-                    raise ValueError(f"mode {i} claims divergence-free but max|div| = {div_max:.3e}")
 
     @cached_property
     def has_drift(self) -> bool:
@@ -104,7 +97,7 @@ class NoiseBasis:
 
     def with_drift(self, drift: VectorField) -> "NoiseBasis":
         """The same modes with another drift, sharing this basis's geometry."""
-        other = NoiseBasis(self.grid, self.modes, drift, self.divergence_free)
+        other = NoiseBasis(self.grid, self.modes, drift)
         other.__dict__["geometry"] = self.geometry
         return other
 
@@ -271,7 +264,6 @@ def build_fourier_basis(grid: Grid, mode_specs: Sequence[ModeSpec],
     zero wavevector yields a constant field (once, whatever the wave type).
     """
     modes: list[VectorField] = []
-    all_solenoidal = True
     for spec in mode_specs:
         if all(kk == 0 for kk in spec.k):
             modes.append(VectorField.constant(grid, spec.amplitude))
@@ -279,11 +271,7 @@ def build_fourier_basis(grid: Grid, mode_specs: Sequence[ModeSpec],
         waves = ("sin", "cos") if spec.wave == "both" else (spec.wave,)
         for w in waves:
             modes.append(fourier_mode_field(grid, spec, w))
-        all_solenoidal = all_solenoidal and spec.solenoidal
-    if drift is None:
-        drift = VectorField.zeros(grid)
-    flag = all_solenoidal and len(mode_specs) > 0
-    return NoiseBasis(grid, tuple(modes), drift, divergence_free=flag)
+    return NoiseBasis(grid, tuple(modes), VectorField.zeros(grid) if drift is None else drift)
 
 
 def sample_increments(m: int, dt: float,

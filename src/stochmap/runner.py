@@ -105,16 +105,10 @@ class _Batch:
         """The message of a guard error; in an ensemble, it names the failing
         member by its ensemble index.  A batch-wide check that names no
         member fails on the batch's first."""
+        detail = getattr(err, "detail", str(err))
         if not self.in_ensemble:
-            return str(err)
-        member = self.members[getattr(err, "member", None) or 0]
-        return f"member {member}: {getattr(err, 'detail', str(err))}"
-
-
-def _one_or_all(items: list):
-    """The one member's item, or the list of every member's: a batch of one
-    member steps grid-shaped arrays."""
-    return items[0] if len(items) == 1 else items
+            return detail
+        return f"member {self.members[getattr(err, 'member', None) or 0]}: {detail}"
 
 
 def _manifest_text(config: RunConfig) -> str:
@@ -175,19 +169,18 @@ def _march(config: RunConfig, batch: _Batch, names, initial, advance, values, fi
 
 def _tsw_model(config, grid, basis, batch: _Batch):
     ic_rngs = [np.random.default_rng(config.seed + 1000 + k) for k in batch.members]
-    initial = partial(tsw_initial_state, grid, config, _one_or_all(ic_rngs))
+    initial = partial(tsw_initial_state, grid, config, ic_rngs)
     params = tsw_params(config)
 
     def values(s):
-        rows = tsw_invariants(s)
-        return [(e, m, px, py) for e, m, (px, py) in (rows if s.h.batch_shape else [rows])]
+        return [(e, m, px, py) for e, m, (px, py) in tsw_invariants(s)]
 
     def fields(s):
         return {"h": s.h, "theta": s.theta, "u_x": s.u.components[0], "u_y": s.u.components[1]}
 
     def advance(s):
         return tsw_spde_step(
-            s, params, basis, config.dt, _one_or_all(batch.rngs),
+            s, params, basis, config.dt, batch.rngs,
             rhs_enabled=config.rhs_enabled,
             nform_mode=config.nform_mode,
             safety=config.safety,
@@ -212,7 +205,7 @@ def _scalar_model(config, grid, basis, batch: _Batch):
     def initial():
         fields = [smooth_scalar(grid, np.random.default_rng(config.seed + 1000 + k), offset=1.0, amplitude=ic_amp)
                   for k in batch.members]
-        return {"f": fields[0] if len(fields) == 1 else stack_members(fields)}
+        return {"f": stack_members(fields)}
 
     def values(state):
         return [(integrate(f), float(np.sqrt(np.mean(f.values**2)))) for f in state["f"].members()]
@@ -220,7 +213,7 @@ def _scalar_model(config, grid, basis, batch: _Batch):
     def advance(state):
         check_stability(grid, config.dt, vel, diff, config.c_stab)
         return two_step_forecast(
-            state, rhs, assignment, basis, config.dt, _one_or_all(batch.rngs),
+            state, rhs, assignment, basis, config.dt, batch.rngs,
             nform_mode=config.nform_mode,
             safety=config.safety,
         )

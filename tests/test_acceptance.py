@@ -27,8 +27,8 @@ from stochmap.maps import Convention, make_increment
 from stochmap.models import (
     advection_diffusion_rhs,
     lu_basis,
-    lu_correspondence_check,
-    lu_nform_check,
+    lu_discrepancy_0form,
+    lu_discrepancy_nform,
     two_step_forecast,
 )
 from stochmap.noise import ModeSpec, NoiseBasis, build_fourier_basis
@@ -125,8 +125,8 @@ def test_criterion_3_lu_correspondence():
     )
     f = smooth_scalar(g, np.random.default_rng(3), offset=1.2, amplitude=0.4)
     t0 = time.perf_counter()
-    d0 = lu_correspondence_check(basis, f, 1e-3, np.random.default_rng(4))
-    dn = lu_nform_check(basis, f, 1e-3, np.random.default_rng(5))
+    d0 = lu_discrepancy_0form(make_increment(lu_basis(basis), 1e-3, np.random.default_rng(4)), f)
+    dn = lu_discrepancy_nform(make_increment(lu_basis(basis), 1e-3, np.random.default_rng(5)), f)
     elapsed = time.perf_counter() - t0
     report(3, "lu_correspondence", max(d0, dn) < 1e-10 and elapsed < 1,
            f"0-form {d0:.2e}, n-form {dn:.2e}, runtime {elapsed:.2f}s")

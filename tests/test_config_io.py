@@ -425,13 +425,22 @@ directory = PLACE
 def test_aborted_run_keeps_step_and_diagnostics(tmp_path):
     # at 256^2 the shipped config's displacement outgrows the guard at step 4
     cfg = load_config(CONFIGS / "tsw.cfg", ["grid.points=256 256", f"output.directory={tmp_path}"])
-    with pytest.raises(RuntimeAbort, match="step 4"):
+    with pytest.raises(RuntimeAbort, match=r"^step 4: max displacement") as info:
         run_simulation(cfg)
+    assert "member" not in str(info.value)   # a single-member run names no member
     rows = (tmp_path / "mass.csv").read_text().splitlines()
     assert rows[0] == "time,mass"
     assert [float(r.split(",")[0]) for r in rows[1:]] == [k * cfg.dt for k in range(4)]
     for name in ("energy", "momentum_x", "momentum_y"):
         assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 5
+
+
+def test_single_member_stability_abort_names_no_member(tmp_path):
+    # dt far past the advective limit at 64^2: the first step's stability check fires
+    cfg = load_config(CONFIGS / "tsw.cfg", ["run.dt=0.5", "run.n_steps=3", f"output.directory={tmp_path}"])
+    with pytest.raises(RuntimeAbort, match=r"^step 1: dt = ") as info:
+        run_simulation(cfg)
+    assert "member" not in str(info.value)
 
 
 BLOWUP_CONFIG = """

@@ -429,7 +429,7 @@ def test_nvector_constant_field_keeps_wedge_term():
     e = VectorField(
         g, (smooth(g, lambda x, y: 0.4 * np.sin(y)), smooth(g, lambda x, y: 0.3 * np.sin(x)))
     )
-    basis = NoiseBasis(g, (e,), VectorField.zeros(g), divergence_free=True)
+    basis = NoiseBasis(g, (e,), VectorField.zeros(g))
     eta = 0.01
     d = DiffeoIncrement(basis, BrownianIncrements(dt=1e-3, eta=np.array([eta])))
     const = ScalarField.constant(g, 2.0)

@@ -12,7 +12,6 @@ from stochmap.invariants import (
     helicity,
     pairing_integral,
     product_integral,
-    total_integral,
     tsw_invariants,
     vorticity_commutation_defect,
 )
@@ -26,7 +25,7 @@ def grid2(n=64):
 
 def test_total_integral_of_one_is_volume():
     g = Grid((16, 16), (1.0, 1.0))
-    assert total_integral(ScalarField.constant(g, 1.0)) == pytest.approx(1.0, abs=1e-14)
+    assert integrate(ScalarField.constant(g, 1.0)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pointwise_nform_total_integral_drifts_above_first_order():
@@ -48,7 +47,7 @@ def test_pointwise_nform_total_integral_drifts_above_first_order():
         acc = 0.0
         for sign in (1.0, -1.0):
             d = DiffeoIncrement(basis, BrownianIncrements(dt=dt, eta=np.array([sign * np.sqrt(dt)])))
-            acc += 0.5 * total_integral(perturb_nform(f, d, NFormMode.POINTWISE).realized)
+            acc += 0.5 * integrate(perturb_nform(f, d, NFormMode.POINTWISE).realized)
         vals.append(abs(acc))
     assert fit_loglog_slope(dts, vals) >= 1.4
 
@@ -58,7 +57,7 @@ def test_product_integral_power_zero_is_total():
     g = grid2(16)
     f = ScalarField(g, rng.standard_normal(g.shape))
     q = ScalarField(g, rng.standard_normal(g.shape))
-    assert product_integral(f, q, 0) == pytest.approx(total_integral(f), rel=1e-14)
+    assert product_integral(f, q, 0) == pytest.approx(integrate(f), rel=1e-14)
 
 
 def test_product_integral_constant_factor():
@@ -67,7 +66,7 @@ def test_product_integral_constant_factor():
     f = ScalarField(g, rng.standard_normal(g.shape))
     c = 2.75
     got = product_integral(f, ScalarField.constant(g, c), 1)
-    assert got == pytest.approx(c * total_integral(f), rel=1e-12)
+    assert got == pytest.approx(c * integrate(f), rel=1e-12)
 
 
 def test_product_integral_validation():
@@ -90,7 +89,7 @@ def test_pairing_integral_special_cases():
     )
     c = -1.3
     assert pairing_integral(ScalarField.constant(g, c), q) == pytest.approx(
-        c * c * total_integral(q), rel=1e-12
+        c * c * integrate(q), rel=1e-12
     )
 
 

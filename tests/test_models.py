@@ -26,10 +26,8 @@ from stochmap.models import (
     apply_increment,
     check_stability,
     lu_basis,
-    lu_correspondence_check,
     lu_discrepancy_0form,
     lu_discrepancy_nform,
-    lu_nform_check,
     salt_increment,
     tsw_deterministic_rhs,
     tsw_gravity_wave_speed,
@@ -320,7 +318,7 @@ def test_lu_correspondence_0form_any_basis():
     g = grid2()
     f = smooth(g, lambda x, y: 1.0 + 0.5 * np.sin(x) * np.cos(y) + 0.2 * np.cos(2 * y))
     for basis in (three_mode_basis(g), two_wave_basis(g)):
-        disc = lu_correspondence_check(basis, f, 1e-3, np.random.default_rng(3))
+        disc = lu_discrepancy_0form(make_increment(lu_basis(basis), 1e-3, np.random.default_rng(3)), f)
         assert disc < 1e-12
 
 
@@ -328,7 +326,7 @@ def test_lu_correspondence_constant_mode_trivial():
     g = grid2()
     basis = build_fourier_basis(g, [ModeSpec(k=(0, 0), amplitude=(0.5, 0.2))])
     f = smooth(g, lambda x, y: np.sin(x) + np.cos(y))
-    disc = lu_correspondence_check(basis, f, 1e-3, np.random.default_rng(4))
+    disc = lu_discrepancy_0form(make_increment(lu_basis(basis), 1e-3, np.random.default_rng(4)), f)
     assert disc < 1e-14
 
 
@@ -336,7 +334,7 @@ def test_lu_nform_reynolds_any_basis():
     g = grid2()
     f = smooth(g, lambda x, y: 1.0 + 0.4 * np.cos(x + y))
     for basis in (three_mode_basis(g), two_wave_basis(g)):
-        disc = lu_nform_check(basis, f, 1e-3, np.random.default_rng(5))
+        disc = lu_discrepancy_nform(make_increment(lu_basis(basis), 1e-3, np.random.default_rng(5)), f)
         assert disc < 1e-10
 
 

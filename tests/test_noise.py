@@ -41,7 +41,6 @@ def test_solenoidal_modes_have_roundoff_divergence(k):
     basis = build_fourier_basis(grid2(), [ModeSpec(k=k, amplitude=(0.8, 0.5))])
     for e in basis.modes:
         assert np.abs(divergence(e).values).max() < 1e-12
-    assert basis.divergence_free
 
 
 def test_both_waves_yield_two_modes():
@@ -57,15 +56,6 @@ def test_non_integer_wavevector_rejected():
 def test_amplitude_parallel_to_wavevector_rejected():
     with pytest.raises(ValueError):
         build_fourier_basis(grid2(), [ModeSpec(k=(2, 0), amplitude=(1.0, 0.0), solenoidal=True)])
-
-
-def test_divergence_free_claim_is_validated():
-    g = grid2()
-    compressive = build_fourier_basis(
-        g, [ModeSpec(k=(1, 0), amplitude=(0.5, 0.0), solenoidal=False)]
-    ).modes[0]
-    with pytest.raises(ValueError):
-        NoiseBasis(g, (compressive,), VectorField.zeros(g), divergence_free=True)
 
 
 def test_is_null_and_has_drift():
