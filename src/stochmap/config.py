@@ -268,9 +268,14 @@ def _as_tuple(v) -> tuple:
 
 
 def _int(v) -> int:
+    """An integral number, at most the largest array index (`np.intp`): any
+    count or size above it would fail at run time, after the manifest."""
     if isinstance(v, float) and not v.is_integer():
         raise ValueError(f"expected an integer, got {v!r}")
-    return int(v)
+    iv, top = int(v), int(np.iinfo(np.intp).max)
+    if iv > top:
+        raise ValueError(f"{v!r} exceeds the largest array index {top}")
+    return iv
 
 
 def _tuple_of(parse):

@@ -87,6 +87,18 @@ def test_simulate_bad_key_is_config_error(tmp_path, capsys):
         assert not (tmp_path / "cli_out" / "manifest.txt").exists(), overrides
 
 
+@pytest.mark.parametrize("override, key", [("run.ensemble=1e300", "[run] ensemble"),
+                                           ("grid.points=1e300 4", "[grid] points")])
+def test_simulate_rejects_an_integer_past_the_array_index_range(tmp_path, capsys, override, key):
+    out = tmp_path / "out"
+    code = main(["simulate", str(ROOT / "configs" / "advection.cfg"), "--set", override,
+                 "--set", f"output.directory={out}"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+    assert not (out / "manifest.txt").exists()
+
+
 def test_simulate_rhs_off_ignores_the_advection_velocity(tmp_path, capsys):
     # nothing is advected, so the velocity must not enter the stability bound
     cfg = ROOT / "configs" / "advection.cfg"
