@@ -1,9 +1,8 @@
 """stochmap: random diffeomorphism perturbations for PDE fields.
 
-Turns a deterministic PDE solver into a stochastic one by perturbing the
-location of its state fields once per step with a near-identity random map,
-transporting each field according to the tensor object it represents, and
-ships the diagnostics that verify which integrals the scheme conserves.
+Perturbs the location of a PDE solver's state fields once per step with a
+near-identity random map, transports each field by the tensor object it
+represents, and ships the diagnostics that verify which integrals survive.
 """
 
 __version__ = "0.1.0"

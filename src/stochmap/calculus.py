@@ -1,40 +1,15 @@
 """Discrete calculus on periodic grids.
 
-Centered second-order stencils throughout, all from the one periodic kernel
-`centered_difference` on raw arrays.  On a C-contiguous input a call costs
-one subtraction over the flattened array, two periodic slices for the first
-and last node and one multiply by 1/(2h), with no axis reordering and no copy;
-any other input is made C-contiguous first.  A grid axis is counted from the
-trailing end of the array (array axis
-``v.ndim - grid.dim + axis``), so an array with a leading member axis (see
-`grid`) is differenced member by member, with the bits of each member's own
-call.  The summation-by-parts identity
+Every derivative is the one centered stencil kernel `centered_difference` on
+raw arrays.  It counts grid axes from the trailing end of an array, so a
+leading member axis (see `grid`) rides along.  The summation-by-parts identity
 
     sum_k u_k (D v)_k = -sum_k (D u)_k v_k
 
-holds to round-off for the centered difference D, which is what makes the
-flux-form conservation checks close to round-off.
-
-Point evaluation (`sample_at`) is separable Catmull-Rom cubic interpolation;
-it reproduces node values (exactly in exact arithmetic: ``x_k / h`` need not
-round to ``k``) and is fourth-order accurate at cell midpoints.  Each point
-set gets one stencil (`_stencil`), laid out entry-major: per axis the
-Catmull-Rom weights, shape (4, N), and the wrapped base node, folded into one
-flat index per stencil entry, shape (4**dim, N), into the field padded
-periodically by one node before and two after each axis.  Every field
-sampled, a scalar or each component of a vector field, is padded once per
-call and gathered through that index with one flat `take`.  The contraction
-(`_contract`) then forms each entry's ``(v * w0[a]) * w1[b] [* w2[c]]`` in
-one reused buffer and adds it to a sum started from +0.0, entry by entry in
-C order of (a, b[, c]); in 1D it adds the four products as
-``(p0 + p2) + (p1 + p3)``.  Those are the products and the summation order
-of numpy's `einsum` over a point-major gather, so every result keeps the
-bits of that kernel.  Points are taken in chunks of a fixed number of stencil
-entries (2^19: 2^15 points in 2D, 8192 in 3D), which bounds the index and
-gather temporaries.  A point's bits do not depend on its chunk, so the
-members of an ensemble are sampled by one call: one field at the members'
-point sets concatenated, or a field batched over members at one point set
-per member, each member's flat index offset by the size of its padded array.
+holds to round-off for the centered difference D, which is what makes
+flux-form mass exact.  `sample_at` is separable periodic Catmull-Rom cubic
+interpolation: fourth-order accurate at cell midpoints, and one stencil per
+chunk of points for every field it samples.
 """
 from __future__ import annotations
 
@@ -191,8 +166,9 @@ def sample_at(f: ScalarField | VectorField, points: Array) -> Array:
     A field batched over M members takes one point set per member, points of
     shape (M, N, dim), and samples each member at its own points.
 
-    Per chunk of points, each field is gathered entry-major, shape
-    (4**dim, N), and contracted with the weights by `_contract`.
+    Per chunk of `_STENCIL_ENTRIES` stencil entries, each field is gathered
+    entry-major, shape (4**dim, N), and contracted with the weights by
+    `_contract`; a point's bits do not depend on its chunk.
     """
     vector = isinstance(f, VectorField)
     comps = f.components if vector else (f,)

@@ -1,51 +1,15 @@
 """Run configuration: a flat-section ``key = value`` text format.
 
-Example::
+Keys may repeat only where noted (``mode``, ``drift_mode``).  Values are
+numbers, ``true``/``false``, bare words, whitespace-separated number lists,
+``[a, b]`` lists and inline tables ``{k = [...], amp = [...]}``; `configs/`
+and the README hold examples.  Overrides are ``section.key=value``.
 
-    [grid]
-    points = 64 64
-    extents = 6.283185307179586 6.283185307179586
-
-    [noise]
-    mode = {k = [1, 0], amp = [0.0, 0.2], solenoidal = true, wave = sin}
-    mode = {k = [0, 2], amp = [0.15, 0.0], solenoidal = true}
-    drift = lu
-    safety = 1.0
-
-    [run]
-    model = tsw
-    dt = 1e-3
-    n_steps = 20
-    ensemble = 1
-    seed = 42
-    convention = lu
-    nform_mode = flux
-    rhs = on
-    snapshot_interval = 0
-
-    [tsw]
-    kappa = 0.0
-    h0 = 1.0
-    theta0 = 1.0
-    fcor = 0.0
-    ic = gentle
-    ic_amplitude = 0.02
-
-    [output]
-    directory = out
-
-Sections are flat; keys may repeat only where noted (``mode``, ``drift_mode``).
-Values: numbers, ``true``/``false``, bare words, whitespace-separated number
-lists, ``[a, b]`` lists, and inline tables ``{k = [...], amp = [...]}``.
-Command-line overrides use ``--set section.key=value``.
-
-`_TABLE` is the one list of keys: ``(section, key) -> (RunConfig field, parser)``.
-Every key is parsed and checked at load, and a bad one is a ``ConfigError``
-``[section] key: ...``.  Integer keys reject non-integral numbers, and
-`RunConfig.__post_init__` checks every choice and range, and every shape
-against the grid it builds.  ``drift`` takes a word or a mode table, and each
-``drift_mode`` one more table; drift tables default to ``solenoidal = false,
-wave = cos``, ``mode`` tables to ``true, sin``.
+`_TABLE` is the one list of keys.  Every key is parsed and checked at load,
+before any output exists, and a bad one is a ``ConfigError`` ``[section]
+key: ...``: each parser checks its value, and `RunConfig.__post_init__` every
+choice and range, and every shape against the grid it builds.  Drift tables
+default to ``solenoidal = false, wave = cos``, ``mode`` tables to ``true, sin``.
 """
 from __future__ import annotations
 
@@ -268,14 +232,13 @@ def _as_tuple(v) -> tuple:
 
 
 def _int(v) -> int:
-    """An integral number, at most the largest array index (`np.intp`): any
-    count or size above it would fail at run time, after the manifest."""
+    """A whole number (``2.7`` is rejected, not truncated) no larger than the
+    largest array index: a count or size above it fails only at run time."""
     if isinstance(v, float) and not v.is_integer():
         raise ValueError(f"expected an integer, got {v!r}")
-    iv, top = int(v), int(np.iinfo(np.intp).max)
-    if iv > top:
-        raise ValueError(f"{v!r} exceeds the largest array index {top}")
-    return iv
+    if int(v) > np.iinfo(np.intp).max:
+        raise ValueError(f"{v!r} exceeds the largest array index {np.iinfo(np.intp).max}")
+    return int(v)
 
 
 def _tuple_of(parse):

@@ -1,44 +1,18 @@
 """Order-of-accuracy studies for the perturbation scheme.
 
-Two noise-refinement devices, used for different questions:
+Two noise-refinement devices answer different questions:
 
-* ``matched_increment_ensemble`` — an ensemble of Brownian paths refined by
-  summation (each coarse increment is exactly the sum of its fine
-  sub-increments), moment-matched at every level.  Used by the weak-order
-  study of the advection SPDE.
-
-* ``symmetric_ensemble`` — an antithetic ensemble whose per-mode sample
-  second moments are exactly dt and whose cross moments vanish exactly.
-  Averaging a per-step defect over it realises the Ito bookkeeping
-  (eta_i eta_j -> delta_ij dt) in finite samples: a raw single-path defect
-  carries an O(dt) quadratic-variation fluctuation (eta^2 - dt) that no
-  refinement removes, and this ensemble cancels it identically, leaving the
+* ``matched_increment_ensemble``: Brownian paths refined by summation, each
+  coarse increment exactly the sum of its fine ones, for the weak order.
+* ``symmetric_ensemble``: antithetic draws whose per-mode second moments are
+  exactly dt and whose cross moments vanish.  A single-path defect carries an
+  O(dt) quadratic-variation fluctuation (eta^2 - dt) that no refinement
+  removes; averaging over this ensemble cancels it identically, leaving the
   genuine higher-order remainder.
 
-Per-step metrics are measured with the grid co-refined as N ~ dt^(-1/2), so
-the O(h^2)-per-dt stencil defects shrink at the same rate as the time terms
-and the fitted slope reflects the scheme order rather than a fixed-h floor.
-
-The order study (`run_study`, and `vorticity_fixed_h_study` through the same
-loop) runs level by level: at each dt it builds each scene kind its metrics
-read once, as one `StudyLevel`, whose metrics share one set of increments,
-closed forms and maps.  The 16 members of the symmetric ensemble sit on the
-member axis: one increment batched over them drives the scalar classes, the
-maps, the remap oracle and the TSW step once for all, each member with the
-bits of its own call.  The 1-form, 2D or 3D, steps one member at a time from
-its member-invariant parts (`forms.OneFormParts`: the drift and the per-mode
-noise rows of u), built once per scene and so, in `vorticity_fixed_h_study`,
-once for all its levels.  The 3D helicity drift builds no member's field: each
-member's guarded increment gives its draw, and one table of the scene
-(`Scene3D.helicity_table`) turns the draw into H(u + delta) - H(u).  Each
-metric sums its member defects in member order, so every value equals a
-member-by-member, metric-by-metric loop exactly.
-
-The weak-mean study (`weak_advection_study`) steps its members in batches,
-`grid.BATCH_POINTS` grid points per array (4 members at 64^2), through the
-member axis of `two_step_forecast`: one step call per batch, not per member,
-each member keeping the bits of its own trajectory.  The level means add the
-members in member order, so they equal a member-by-member loop exactly.
+Per-step metrics co-refine the grid as N ~ dt^(-1/2), so the O(h^2)-per-dt
+stencil defects shrink with the time terms and the slope shows the scheme's
+order, not a fixed-h floor.
 """
 from __future__ import annotations
 
@@ -572,7 +546,9 @@ def weak_advection_study(
     per Fourier coefficient.  Returns the relative L2 error of the mean at
     every level plus coupled successive-refinement differences (same
     Brownian paths via summation), whose ratios expose the weak order
-    without the Monte-Carlo noise floor.
+    without the Monte-Carlo noise floor.  The members are stepped in batches
+    of `grid.BATCH_POINTS` grid points per array and added to each level's
+    mean in member order, so the means equal a member-by-member loop exactly.
     """
     for name, value in (("t_final", t_final), ("dt_coarse", dt_coarse)):
         if not (np.isfinite(value) and value > 0):

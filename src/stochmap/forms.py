@@ -1,62 +1,24 @@
 """Closed-form perturbation increments for each tensor class.
 
-Every operator returns the increment decomposed as
+Every operator returns its increment as raw arrays (`PerturbationResult`),
 
-    realized = drift * dt  +  noise   (Ito bookkeeping, eta_i^2 -> dt)
+    increment = drift * dt + noise   (Ito bookkeeping, eta_i^2 -> dt),
 
-where noise is the realised noise term of the increment's eta draw, read
-from the one noise displacement xi = sum_i eta_i e_i (it is linear in xi)
-rather than mode by mode; only the 1-form sums its noise per mode, weighting
-per-mode rows that no draw changes by eta.  It is evaluated at the input field
-(explicit in time).
-
-`oracle_remap` is the formula-free cross-check: it remaps the field through
-the sampled map itself, using cubic interpolation and finite-difference
-Jacobians, and is what the convergence tests compare the closed forms
-against.
-
-Sign caution for n-vectors: `pushforward_nvector(g, d)` transports g along
-d's *forward* map.  The mixed covariant/variant pair (and the shallow-water
-density contrast built on it) transports the variant part along the
-*inverse* map so that the n-form/n-vector pairing is preserved; that is
-`pushforward_nvector(g, inverse_increment(d))`, which `perturb_mixed_pair`
-does for you.
-
-The operators work on raw arrays (these assemblies sit in the inner loop of
-ensemble runs), and so are the drift and noise parts they return and the raw
-realised increment drift*dt + noise, computed once (a list of dim arrays per
-1-form part).  The realised increment as a field, `realized`, is built on
-first read: a forecast step adds the raw increment to its state variable and
-wraps the sum once.  Every stencil goes through the one periodic kernel
-`calculus.centered_difference`: one subtraction over the flattened array, two
-periodic slices for the end nodes and one multiply by 1/(2h).  The scalar
-classes and the flux n-form also take a batch of members, a field with a
-leading member axis under an increment batched the same way (see `grid` and
-`maps`), and give each member the bits of its own call, as does
-`oracle_remap`; the 1-form and the volume multiplier take one member.
-
-The scalar classes share one increment form, assembled by `_scalar`:
-
-    drift = c0 f + c1.grad f + (1/2) A:grad grad f
-    noise = s0 (div xi) f + s1 xi.grad f
-
-and differ only in their row of coefficients (b_e = sum_i e_i div e_i,
-s_e = sum_i (e_i . grad) e_i, g_e = sum_i (e_i . grad)(div e_i)):
+evaluated at the input field (explicit in time), with the noise read from
+the one noise displacement xi = sum_i eta_i e_i.  The scalar classes share
+one assembly, `_scalar`, and differ only in their row of coefficients
+(b_e = sum_i e_i div e_i, s_e = sum_i (e_i . grad) e_i,
+g_e = sum_i (e_i . grad)(div e_i)):
 
     0-form            c0 = -                     c1 = a                (0, +1)
     pointwise n-form  c0 = div a + (1/2) sum J   c1 = a + b_e          (1, +1)
     n-vector          c0 = div a + (1/2) sum J - g_e
                                                  c1 = s_e - b_e - a    (1, -1)
 
-The volume multiplier is the row with f = 1 (drift div a + (1/2) sum J,
-noise div xi); the flux n-form keeps its divergence form, reading the bracket
-velocity b = a + (1/2)(b_e - s_e), so that mass stays exact.  The rows are
-step-invariant, and those a forecast step reads are tables on `NoiseBasis`
-(`volume_drift`, `nvector_rows`, `flux_velocity`), built on first read from
-the sums over modes in `NoiseBasis.geometry`; the pointwise n-form adds its
-c1 per call.  Only the 1-form visits the modes one by one, in its coupling
-term and noise rows; those depend on the field and the basis only, so
-`OneFormParts` builds them once for all members on one field.
+The flux n-form keeps its divergence form, so mass stays exact.  The scalar
+classes and `oracle_remap` take a batch of members (see `grid`); the 1-form
+and the volume multiplier take one.  `oracle_remap` is the formula-free
+cross-check: it remaps a field through the sampled map itself.
 """
 from __future__ import annotations
 
@@ -169,17 +131,11 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
       drift = c0 f + c1.grad f + (1/2) A:grad grad f
       noise = s0 (div xi) f + s1 xi.grad f,   s0 in {0, 1}, s1 = +-1
 
-    The terms are summed left to right from c0 f; c0 None (the 0-form) adds
-    c1.grad f as one dot product after the quadratic term, and c1 None
-    leaves it out.  The sums are formed in place, in arrays this call made
-    (the gradient's end up holding xi^p d_p f), with the operations and
-    order of the plain expressions, so the bits are theirs: a fresh array
-    per term makes the heap trim and regrow, which costs page faults on
-    every step of a batch.
-
-    An inverse increment's noise displacement is -xi of its forward
-    increment (`DiffeoIncrement.signed_noise`): the noise is then formed
-    from xi with s0 and s1 negated.
+    c0 None (the 0-form) adds c1.grad f after the quadratic term, and c1 None
+    leaves it out.  The sums are formed in place, in arrays this call made: a
+    fresh array per term makes the heap trim and regrow, which costs page
+    faults on every step of a batch.  An inverse increment's noise is formed
+    from its forward xi (`DiffeoIncrement.signed_noise`), s0 and s1 negated.
     """
     grid, fv = f.grid, f.values
     xi, sign = d.signed_noise
@@ -247,8 +203,6 @@ def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMod
       noise = d_p (xi^p f)
 
     so that integrate(realized) telescopes to zero for every realisation.
-    Both sums are formed in place, in arrays this call made, with the order
-    of the plain expressions.
     """
     basis = d.basis
     if mode is NFormMode.POINTWISE:

@@ -1,31 +1,16 @@
 """Periodic grids, sampled fields, and tensor-class tags.
 
-Everything downstream assumes fields live on a uniform lattice over the
-n-torus (n = 1, 2 or 3).  Fields are immutable snapshots: operations return
-new fields and never mutate their inputs, so they are safe to evaluate from
-concurrent workers.
+Fields live on a uniform lattice over the n-torus (n = 1, 2 or 3) and are
+immutable snapshots, so they are safe to evaluate from concurrent workers.
+A field's values may carry one leading member axis, ``(members,
+*grid.shape)``: a batch of ensemble members stepped as one array, each
+member with the bits of its own single-member call.  What measures or
+writes one field takes one member and raises ValueError on a batch
+(`ScalarField.require_single_member`), and a check that fails on one member
+says which (`member_error`).
 
-A field's values may carry one leading member axis in front of the grid
-axes (shape ``(members, *grid.shape)``): a batch of ensemble members stepped
-as one array, each member computed with the bits of its own single-member
-call.  What measures or writes one field (`min`, `max`, `calculus.integrate`,
-`fldio.write_field`) takes one member and raises ValueError on a batch
-(`ScalarField.require_single_member`); `VectorField.max_norm` gives one value
-per member, and `calculus.sample_at` samples each member at its own points.
-A check that fails on one member of a batch says which (`member_error`), as
-does the finiteness scan of a batched field.  `stack_members` builds a batch
-from one field per member, and `ScalarField.members` gives each member's
-field back as a view.  Ensembles are stepped in batches of `BATCH_POINTS`
-grid points per array (`Grid.members_per_batch`).
-
-Allocator policy: on Linux with glibc, importing this module sets two malloc
-parameters once, for the whole process (`keep_freed_heap`), so that the
-arrays a step or a study member frees stay in the process for the next one
-instead of going back to the kernel and being faulted in again, page by
-page.  Arrays of up to `MMAP_THRESHOLD_BYTES` (32 MiB) come from the heap,
-and at most `TRIM_THRESHOLD_BYTES` (64 MiB) of freed heap is kept at its top;
-larger arrays still get their own mmap.  Elsewhere (no glibc ``mallopt``)
-nothing is set.  Only the addresses of arrays change, never a value.
+Importing this module has glibc's malloc keep freed arrays in the process
+(`keep_freed_heap`); only the addresses of arrays change, never a value.
 """
 from __future__ import annotations
 
@@ -62,9 +47,13 @@ TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 def keep_freed_heap() -> bool:
-    """Have glibc's malloc keep freed arrays in the process (see the module
-    docstring); True if both parameters were set.  Without a glibc
-    ``mallopt`` it sets nothing and returns False."""
+    """Have glibc's malloc keep freed arrays in the process, once for the
+    whole process, so that the arrays a step frees serve the next step
+    instead of going back to the kernel and being faulted in again, page by
+    page.  Arrays of up to `MMAP_THRESHOLD_BYTES` come from the heap, and at
+    most `TRIM_THRESHOLD_BYTES` of freed heap is kept at its top; larger
+    arrays still get their own mmap.  True if both parameters were set;
+    without a glibc ``mallopt`` it sets nothing and returns False."""
     if not sys.platform.startswith("linux"):
         return False
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

@@ -1,8 +1,7 @@
 """Conserved-quantity diagnostics: pure measurement functions.
 
 Flux-form mass is conserved to round-off; every other identity is verified
-as a per-step drift vanishing at order > 1 in dt, the discrete expression of
-the exact continuum statements.
+as a per-step drift vanishing at order > 1 in dt.
 """
 from __future__ import annotations
 

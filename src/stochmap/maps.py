@@ -1,41 +1,12 @@
 """One random diffeomorphism increment and its closed-form inverse.
 
 The forward map is T(x) = x + a(x) dt + sum_i e_i(x) eta_i.  Its inverse, to
-the order the scheme works at, is another increment of the same shape with
-
-    drift  z = -a + sum_i (e_i . grad) e_i
-
-on the *same* modes e_i, driven by the negated increments -eta_i.
-`inverse_increment` returns that increment, so `forward/inverse` and the
-variant-tensor transport all go through one code path; inverting twice
-restores the original basis and eta exactly.  Its noise displacement is
-exactly -xi, so it reads the forward increment's xi with a sign
-(`DiffeoIncrement.signed_noise`) rather than summing the modes again: its
-guard subtracts xi from the drift, and the scalar classes' noise terms
-(`forms._scalar`) flip their signs; -xi itself is formed only when a caller
-reads it.  Its basis depends on the
-forward basis alone and is built once per basis (`NoiseBasis.inverse`); it
-holds no mode arrays of its own and shares the forward basis's sums over
-modes (`NoiseBasis.geometry`).
-
-The random part reaches the guard, the map and every operator's noise term
-through one field, the noise displacement xi = sum_i eta_i e_i at the nodes
-(`DiffeoIncrement.noise_displacement`), summed once per increment.
-
-An increment may carry a batch of members: eta of shape (members, m) gives
-xi of shape (members, *grid.shape), summed mode by mode in the same order as for one
-member.  The step-size guard then checks each member on its own: per member,
-the max over nodes of the squared displacement norm, then one sqrt, equal to
-the max of the norms bit for bit.  It fails iff some member's own guard
-would fail, and its message names the first such member
-(`grid.member_error`).  The map (`forward_map`, and so `inverse_map`) of a
-batch gives each member's map, with the bits of its own call.
-
-At the grid nodes the map is its definition, the nodes plus the node
-displacement a dt + xi (`displacement_field`): `forward_map(d)` and
-`inverse_map(d)`, with no points, read it there with no interpolation.  At
-other points the node displacement is interpolated (`calculus.sample_at`),
-as for the outer map of a composition T(T^{-1}(x)).
+the order the scheme works at, is an increment of the same shape on the same
+modes, with drift -a + sum_i (e_i . grad) e_i and negated eta
+(`inverse_increment`); inverting twice restores the basis and eta exactly.
+The random part reaches the guard, the map and every operator through one
+field, the noise displacement xi = sum_i eta_i e_i at the nodes, summed once
+per increment.  Eta of shape (members, m) makes a batch of members.
 """
 from __future__ import annotations
 
@@ -66,13 +37,17 @@ class StepSizeError(RuntimeError):
     and the map is a discrete bijection (``det J > 0``) only while
     ``safety < 2 / sqrt(dim)``: 1.41 in 2D, 1.15 in 3D.  At a larger safety a
     map can fold and pass this guard; a 64^2 grid with one compressive mode at
-    safety 3 gives ``min det J = -0.47``.  ROADMAP.md item 2 ("A bijectivity
-    guard that costs nothing at the default safety") proposes the ``det J``
-    check that would catch it."""
+    safety 3 gives ``min det J = -0.47``.  The ROADMAP.md item "Guards that
+    certify from per-basis bounds" proposes the ``det J`` check that would
+    catch it."""
 
 
 @dataclass(frozen=True)
 class DiffeoIncrement:
+    """A basis and one draw of its increments, checked by the step-size
+    guard on construction.  A batch fails iff some member's own guard would,
+    and the error names the first such member."""
+
     basis: NoiseBasis
     increments: BrownianIncrements
     safety: float = 1.0
@@ -176,20 +151,15 @@ def displacement_field(d: DiffeoIncrement) -> VectorField:
 
 def forward_map(d: DiffeoIncrement, points: Array | None = None) -> Array:
     """T(points), wrapped back into the fundamental domain, shape (N, dim);
-    for an increment batched over M members, shape (M, N, dim), each member's
-    map with the bits of its own call, and ``points``, if given, one set of
-    shape (M, N, dim) per member.
+    for an increment batched over M members, shape (M, N, dim), with
+    ``points``, if given, one set of shape (M, N, dim) per member.
 
     Without ``points``, T at the grid nodes in C order: the nodes plus the
-    node displacement `displacement_field` itself, which is the definition of
-    T there, with no interpolation.  Given points, the node displacement is
-    cubic-interpolated at them.  The interpolation is linear in the node
-    values, so this is the map of the interpolated drift and modes.
-
-    Passing ``grid.points()`` explicitly still interpolates, and agrees with
-    the node form only to round-off (9.7e-14 at 256^2): ``x_k / h`` does
-    not always round to ``k``, and Catmull-Rom reproduces node values
-    exactly only in exact arithmetic.
+    node displacement (`displacement_field`), with no interpolation.  Given
+    points, the node displacement is cubic-interpolated at them.  Passing
+    ``grid.points()`` agrees with the node form only to round-off (9.7e-14
+    at 256^2): ``x_k / h`` need not round to ``k``, and Catmull-Rom
+    reproduces node values exactly only in exact arithmetic.
     """
     disp = displacement_field(d)
     if points is None:

@@ -1,10 +1,9 @@
 """Full SPDE assembly: deterministic right-hand side plus map perturbation.
 
-The forecast step is literal two-phase: an explicit Euler update with the
-deterministic right-hand side, then the tensor-class perturbation of the
-updated fields with one freshly sampled map increment shared by every state
-variable.  With an empty noise basis the second phase is skipped entirely,
-so trajectories are bit-identical to the plain deterministic Euler solver.
+A forecast step is an explicit Euler update, then the tensor-class
+perturbation of the updated fields by one map increment shared by every
+state variable.  With an empty noise basis the second phase is skipped, so
+trajectories are bit-identical to the plain deterministic Euler solver.
 """
 from __future__ import annotations
 
@@ -119,18 +118,13 @@ def two_step_forecast(
 ) -> State:
     """One forecast step: deterministic Euler update, then perturbation.
 
-    Noise coefficients are evaluated at the post-Euler fields.  All variables
-    see the same sampled increment.  Passing ``increment`` overrides sampling
-    (used by the correspondence tests); the rng is untouched in that case.
-    Each state variable is wrapped, and so scanned for finiteness, once after
-    its Euler update and once after its perturbation; a blow-up names it.
-
-    The state's fields may carry a leading member axis, with an increment
-    whose eta has shape (members, m) (see `grid` and `maps`); each member
-    then gets the bits of its own step.  The 1-form takes one member.  The
-    step forms its sums in arrays it made and never writes into the state's
-    or the rhs's fields, and it drops each post-Euler field as soon as it
-    has been perturbed.
+    Noise coefficients are evaluated at the post-Euler fields, and every
+    variable sees the same increment: ``increment`` if given (the rng is then
+    untouched), else one sampled.  Each variable is scanned for finiteness
+    after its Euler update and after its perturbation; a blow-up names it.
+    The fields may carry a leading member axis, with eta of shape (members,
+    m); the 1-form takes one member.  The step never writes into the state's
+    or the rhs's fields, and drops each post-Euler field once perturbed.
     """
     tilde = dict(state)
     if rhs is not None:

@@ -1,25 +1,13 @@
 """Noise bases and Brownian increments driving the random maps.
 
-A basis holds the deterministic drift ``a`` and the mode fields ``e_i`` of the
-per-step map x -> x + a*dt + sum_i e_i * deta_i.  Modes here are synthesised
-from a finite Fourier dictionary, which keeps derivatives analytic for the
-test oracles and makes divergence-free projection exact.  `mode_gradient` is
-the one implementation of a mode's discrete gradient.  The drifts see the
-modes only through sums over them (the variance tensor sum_i e_i e_i^T and
-its companions), whose one home is `NoiseBasis.geometry`: built once per set
-of modes, and shared by every basis with the same modes and another drift.
-The inverse basis is one of those: same modes, drift sum_i (e_i . grad) e_i - a,
-driven by negated eta.  From the geometry and the drift, each basis builds on
-first read the step-invariant coefficient tables of the scalar tensor classes
-(`volume_drift`, `nvector_rows`, `flux_velocity`), which the one scalar
-assembler in `forms` reads.  The SALT map's basis, the same modes with half
-that drift, is built once per basis too (`salt_basis`).
-
-Divergence-free means divergence-free *for the discrete operator*: wave
-amplitudes are projected orthogonal to the modified wavevector
-sin(kappa_p h_p)/h_p (the centered-difference symbol), so the measured
-divergence vanishes to round-off, not just to O(h^2).  For axis-aligned
-wavevectors this coincides with the analytic projection.
+A basis holds the drift ``a`` and the mode fields ``e_i`` of the per-step map
+x -> x + a*dt + sum_i e_i * deta_i.  Modes come from a finite Fourier
+dictionary, which keeps derivatives analytic for the test oracles.  A
+solenoidal mode is divergence-free *for the discrete operator*: its
+amplitude is projected orthogonal to the modified wavevector
+sin(kappa_p h_p)/h_p, so the measured divergence vanishes to round-off, not
+just to O(h^2).  The drifts see the modes only through sums over them
+(`NoiseBasis.geometry`), shared by every basis with the same modes.
 """
 from __future__ import annotations
 
@@ -231,7 +219,8 @@ def modified_wavevector(grid: Grid, k: Sequence[int]) -> Array:
 
 def mode_amplitude(grid: Grid, spec: ModeSpec) -> Array:
     """The amplitude vector of a ModeSpec on the grid: projected orthogonal to
-    the modified wavevector when solenoidal, which fails if nothing is left."""
+    the modified wavevector when solenoidal, which fails if nothing is left.
+    For an axis-aligned wavevector this is the analytic projection."""
     amp = np.asarray(spec.amplitude, dtype=np.float64)
     if amp.shape != (grid.dim,):
         raise ValueError(f"amplitude must have {grid.dim} entries")

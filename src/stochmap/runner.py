@@ -3,23 +3,11 @@
 Every run writes a manifest (config echo, seed, package, Python and numpy
 versions), one CSV per diagnostic series, and `.fld` snapshots.  Nothing in
 the outputs depends on wall-clock time, so identical config plus seed gives
-byte-identical files.
-Ensemble members are independent trajectories with spawned seed streams,
-written to member_### subdirectories.  `_march` is the one step loop of
-every model; a model (`_tsw_model`, `_scalar_model`) only describes its state.
-
-The members are stepped in batches of `grid.BATCH_POINTS` grid points per
-array (`Grid.members_per_batch`: 4 members at 64^2, one from 128^2 up): one
-step call per batch, on fields with a leading member axis, or on grid-shaped
-fields for a batch of one.  Each member keeps its own seed stream, draws its
-eta in member order, and is recorded and written from its own view of the
-batch, so every file equals the member-by-member run byte for byte.
-
-A batch aborts as a whole at the first step N at which a guard fails on one
-of its members.  The message names that member by its ensemble index
-(``step N: member k: ...``).  Every member of the batch keeps its CSVs
-through step N-1, the earlier batches have completed, and the later
-batches never start.
+byte-identical files.  Ensemble members are independent trajectories with
+spawned seed streams, written to member_### subdirectories.  They are
+stepped in batches of `grid.BATCH_POINTS` grid points per array, always on
+fields with a leading member axis, and each member is recorded and written
+from its own view of the batch.
 """
 from __future__ import annotations
 
@@ -93,8 +81,7 @@ def run_simulation(config: RunConfig) -> RunResult:
 
 @dataclass(frozen=True)
 class _Batch:
-    """Ensemble members stepped together: one member on grid-shaped arrays,
-    several as one array batched over them."""
+    """Ensemble members stepped together, as one array batched over them."""
 
     members: range                  # their ensemble indices
     rngs: list[np.random.Generator]
@@ -102,9 +89,9 @@ class _Batch:
     in_ensemble: bool               # a failure names its member
 
     def describe(self, err: Exception) -> str:
-        """The message of a guard error; in an ensemble, it names the failing
-        member by its ensemble index.  A batch-wide check that names no
-        member fails on the batch's first."""
+        """The member-free message of a guard error; in an ensemble, it names
+        the failing member by its ensemble index.  A batch-wide check that
+        names no member fails on the batch's first."""
         detail = getattr(err, "detail", str(err))
         if not self.in_ensemble:
             return detail
@@ -124,9 +111,7 @@ def _manifest_text(config: RunConfig) -> str:
 
 
 def _snapshot_due(config: RunConfig, step: int) -> bool:
-    if step == config.n_steps:
-        return True
-    return config.snapshot_interval > 0 and step % config.snapshot_interval == 0
+    return step == config.n_steps or (config.snapshot_interval > 0 and step % config.snapshot_interval == 0)
 
 
 def _march(config: RunConfig, batch: _Batch, names, initial, advance, values, fields) -> None:

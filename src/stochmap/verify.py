@@ -1,10 +1,10 @@
 """Machine-checkable verification suite.
 
 `verify_suite` runs one catalog of checks against a run configuration and
-returns per-check records (name, measured, threshold, pass).  Exit handling
-and printing live in the CLI.  Checks use the configured grid, seed, basis
-and convention; where a check needs a special basis (the incompressible
-volume check, the degeneracy check) it builds its own and says so.
+returns per-check records (name, measured, threshold, pass).  Checks use the
+configured grid, seed, basis and convention; a check that needs a special
+basis (the incompressible volume check, the degeneracy check) builds its own
+and says so.
 """
 from __future__ import annotations
 

@@ -435,14 +435,6 @@ def test_aborted_run_keeps_step_and_diagnostics(tmp_path):
         assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 5
 
 
-def test_single_member_stability_abort_names_no_member(tmp_path):
-    # dt far past the advective limit at 64^2: the first step's stability check fires
-    cfg = load_config(CONFIGS / "tsw.cfg", ["run.dt=0.5", "run.n_steps=3", f"output.directory={tmp_path}"])
-    with pytest.raises(RuntimeAbort, match=r"^step 1: dt = ") as info:
-        run_simulation(cfg)
-    assert "member" not in str(info.value)
-
-
 BLOWUP_CONFIG = """
 [grid]
 points = 32 32
