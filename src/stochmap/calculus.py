@@ -223,23 +223,11 @@ def _stencil(grid: Grid, pts: Array, first: Array | int = 0) -> tuple[Array, lis
 
 def _contract(gathered: Array, wts: list[Array], acc: Array, term: Array) -> Array:
     """Sum over the stencil entries of gathered value times weights, into
-    ``acc``, with ``term`` (and in 1D ``gathered``) as scratch: the products
-    and the order of their sum are those of numpy's `einsum` over the
-    point-major layout, so each result keeps its bits.
-
-    In 2D and 3D einsum forms each entry's ``(v * w0[a]) * w1[b] [* w2[c]]``
-    and adds it to a sum started from +0.0, entry by entry in C order of
-    (a, b[, c]); the +0.0 start turns a sum of -0.0 products into +0.0.  In
-    1D its two-operand kernel adds the four products ``p = v * w0`` in two
-    lanes of a 128-bit vector, then the lanes: ``(p0 + p2) + (p1 + p3)``,
-    onto +0.0."""
-    if len(wts) == 1:
-        np.multiply(gathered, wts[0], out=gathered)
-        np.add(gathered[0], gathered[2], out=acc)
-        np.add(gathered[1], gathered[3], out=term)
-        acc += term
-        acc += 0.0
-        return acc
+    ``acc``, with ``term`` as scratch: each entry's ``v * w0[a] [* w1[b]
+    [* w2[c]]]`` is added to a sum started from +0.0, entry by entry in C
+    order of (a[, b[, c]]), as numpy's `einsum` does over the point-major
+    layout in 2D and 3D; the +0.0 start turns a sum of -0.0 products into
+    +0.0."""
     acc[...] = 0.0
     for e, entry in enumerate(itertools.product(range(4), repeat=len(wts))):
         np.multiply(gathered[e], wts[0][entry[0]], out=term)

@@ -90,11 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "convergence.csv"
         csv_path.write_text(rows_to_csv(rows))
-        seen = set()
-        for row in rows:
-            if row.metric not in seen:
-                seen.add(row.metric)
-                print(f"{row.metric:30s} slope = {row.slope:6.3f}")
+        for metric, slope in {r.metric: r.slope for r in rows}.items():
+            print(f"{metric:30s} slope = {slope:6.3f}")
         print(f"wrote {csv_path}")
         return EXIT_OK
 

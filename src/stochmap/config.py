@@ -175,7 +175,7 @@ class RunConfig:
         drift_modes = [] if isinstance(self.drift, str) else self.drift
         for name, ok, need in (
             ("model", self.model in _MODELS, f"must be one of {_MODELS}"),
-            ("dt", self.dt > 0, "must be positive"),
+            ("dt", 0 < self.dt < np.inf, "must be positive and finite"),
             ("n_steps", self.n_steps >= 1, "must be >= 1"),
             ("ensemble", self.ensemble >= 1, "must be >= 1"),
             ("seed", self.seed >= 0, "must be >= 0"),
@@ -231,9 +231,18 @@ def _as_tuple(v) -> tuple:
     return (v,)
 
 
+def _float(v) -> float:
+    """A number: the words true and false are not one."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {str(v).lower()}")
+    return float(v)
+
+
 def _int(v) -> int:
     """A whole number (``2.7`` is rejected, not truncated) no larger than the
     largest array index: a count or size above it fails only at run time."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {str(v).lower()}")
     if isinstance(v, float) and not v.is_integer():
         raise ValueError(f"expected an integer, got {v!r}")
     if int(v) > np.iinfo(np.intp).max:
@@ -268,7 +277,7 @@ def _mode_table(solenoidal: bool, wave: str):
             raise ValueError(f"unknown keys {sorted(unknown)}")
         if "k" not in table or "amp" not in table:
             raise ValueError("mode entries need k and amp")
-        return ModeSpec(k=_as_tuple(table["k"]), amplitude=_as_tuple(table["amp"]),
+        return ModeSpec(k=_as_tuple(table["k"]), amplitude=_tuple_of(_float)(table["amp"]),
                         solenoidal=bool(table.get("solenoidal", solenoidal)),
                         wave=str(table.get("wave", wave)))
     return parse
@@ -295,32 +304,32 @@ def _drift(v) -> str | list[ModeSpec]:
 # follows drift, so explicit drift modes win when both are given.
 _TABLE = {
     ("grid", "points"): ("grid_points", _tuple_of(_int)),
-    ("grid", "extents"): ("grid_extents", _tuple_of(float)),
+    ("grid", "extents"): ("grid_extents", _tuple_of(_float)),
     ("noise", "mode"): ("modes", _each(_noise_mode)),
     ("noise", "drift"): ("drift", _drift),
     ("noise", "drift_mode"): ("drift", _each(_drift_mode)),
-    ("noise", "safety"): ("safety", float),
+    ("noise", "safety"): ("safety", _float),
     ("run", "model"): ("model", str),
-    ("run", "dt"): ("dt", float),
+    ("run", "dt"): ("dt", _float),
     ("run", "n_steps"): ("n_steps", _int),
     ("run", "ensemble"): ("ensemble", _int),
     ("run", "seed"): ("seed", _int),
     ("run", "snapshot_interval"): ("snapshot_interval", _int),
-    ("run", "c_stab"): ("c_stab", float),
+    ("run", "c_stab"): ("c_stab", _float),
     ("run", "convention"): ("convention", _choice(Convention)),
     ("run", "nform_mode"): ("nform_mode", _choice(NFormMode)),
     ("run", "rhs"): ("rhs_enabled", _on_off),
-    ("tsw", "kappa"): ("tsw_kappa", float),
-    ("tsw", "h0"): ("tsw_h0", float),
-    ("tsw", "theta0"): ("tsw_theta0", float),
-    ("tsw", "fcor"): ("tsw_fcor", float),
+    ("tsw", "kappa"): ("tsw_kappa", _float),
+    ("tsw", "h0"): ("tsw_h0", _float),
+    ("tsw", "theta0"): ("tsw_theta0", _float),
+    ("tsw", "fcor"): ("tsw_fcor", _float),
     ("tsw", "ic"): ("tsw_ic", str),
-    ("tsw", "ic_amplitude"): ("tsw_ic_amplitude", float),
-    ("advection", "velocity"): ("adv_velocity", _tuple_of(float)),
-    ("advection", "diffusivity"): ("adv_diffusivity", float),
-    ("advection", "ic_amplitude"): ("adv_ic_amplitude", float),
+    ("tsw", "ic_amplitude"): ("tsw_ic_amplitude", _float),
+    ("advection", "velocity"): ("adv_velocity", _tuple_of(_float)),
+    ("advection", "diffusivity"): ("adv_diffusivity", _float),
+    ("advection", "ic_amplitude"): ("adv_ic_amplitude", _float),
     ("scalar", "tensor_class"): ("scalar_tensor_class", _choice(TensorClass)),
-    ("scalar", "ic_amplitude"): ("scalar_ic_amplitude", float),
+    ("scalar", "ic_amplitude"): ("scalar_ic_amplitude", _float),
     ("output", "directory"): ("output_dir", str),
 }
 # the key named in a field's range error: the first key that sets the field

@@ -32,9 +32,9 @@ from .forms import (
     perturb_nform,
     pushforward_nvector,
 )
-from .grid import Grid, ScalarField, TensorClass, VectorField, stack_members
+from .grid import Grid, ScalarField, TensorClass, VectorField
 from .invariants import tsw_invariants
-from .maps import DiffeoIncrement, forward_map, inverse_increment, require_single_member
+from .maps import DiffeoIncrement, forward_map, inverse_increment
 from .models import TSWState, tsw_spde_step, TSWParams, advection_diffusion_rhs, two_step_forecast
 from .noise import BrownianIncrements, ModeSpec, NoiseBasis, build_fourier_basis
 
@@ -207,7 +207,8 @@ class Scene3D(_VelocityScene):
         of ``d``: with c = (0, dt, eta_1, ..., eta_m), Q[0, :].c + c.Q[:, 0]
         + c.Q.c.  Unlike a difference of two helicities, it cancels nothing
         of size H(u)."""
-        require_single_member(d, "helicity_drift")
+        if d.batch_shape:
+            raise ValueError(f"helicity_drift takes one member; got an increment batched over {d.batch_shape}")
         if d.basis is not self.basis:
             raise ValueError("helicity_drift: the increment is not under the scene's basis")
         c = np.concatenate(([0.0, d.dt], d.increments.eta))
@@ -276,9 +277,10 @@ class StudyLevel:
     closed form and map that more than one of its metrics reads, each built
     on first read and kept while the level lives.  The ensemble is one
     increment batched over the members (`batch`), acting on the scene fields
-    broadcast over them (`batched`); the 1-form takes one member at a time
-    (`each_member`), each call summing the noise rows of the scene's
-    `u_parts`, which every level on that scene shares.
+    broadcast over them (`batched`); the 1-form sums the noise rows of the
+    scene's `u_parts`, which every level on that scene shares, weighted by
+    each member's eta.  The helicity drift takes one member at a time
+    (`each_member`).
     """
 
     def __init__(self, scene, dt: float, n_pairs: int, seed: int, safety: float = 1.0):
@@ -315,8 +317,8 @@ class StudyLevel:
 
     @cached_property
     def one_form(self) -> VectorField:
-        """The 1-form increment of u, one member at a time, stacked."""
-        return stack_members([perturb_1form(self.scene.u_parts, d).realized for d in self.each_member()])
+        """The 1-form increment of u under the batch."""
+        return perturb_1form(self.scene.u_parts, self.batch).realized
 
     @cached_property
     def tsw_drifts(self) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -15,10 +15,10 @@ g_e = sum_i (e_i . grad)(div e_i)):
     n-vector          c0 = div a + (1/2) sum J - g_e
                                                  c1 = s_e - b_e - a    (1, -1)
 
-The flux n-form keeps its divergence form, so mass stays exact.  The scalar
-classes and `oracle_remap` take a batch of members (see `grid`); the 1-form
-and the volume multiplier take one.  `oracle_remap` is the formula-free
-cross-check: it remaps a field through the sampled map itself.
+The flux n-form keeps its divergence form, so mass stays exact.  Every class
+and `oracle_remap` takes a batch of members (see `grid`).  `oracle_remap` is
+the formula-free cross-check: it remaps a field through the sampled map
+itself.
 """
 from __future__ import annotations
 
@@ -32,8 +32,7 @@ import numpy as np
 from .calculus import centered_difference as _d
 from .calculus import derivative, sample_at
 from .grid import Array, Grid, ScalarField, TensorClass, VectorField
-from .maps import (DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map,
-                   require_single_member)
+from .maps import DiffeoIncrement, displacement_field, forward_map, inverse_increment, inverse_map
 from .noise import NoiseBasis
 
 Fieldish = Union[ScalarField, VectorField]
@@ -129,17 +128,14 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
     """The one assembly of a scalar class from its row of coefficients:
 
       drift = c0 f + c1.grad f + (1/2) A:grad grad f
-      noise = s0 (div xi) f + s1 xi.grad f,   s0 in {0, 1}, s1 = +-1
+      noise = s0 (div xi) f + s1 xi.grad f,   (s0, s1) = (0, 1) or (1, +-1)
 
     c0 None (the 0-form) adds c1.grad f after the quadratic term, and c1 None
     leaves it out.  The sums are formed in place, in arrays this call made: a
     fresh array per term makes the heap trim and regrow, which costs page
-    faults on every step of a batch.  An inverse increment's noise is formed
-    from its forward xi (`DiffeoIncrement.signed_noise`), s0 and s1 negated.
+    faults on every step of a batch.
     """
-    grid, fv = f.grid, f.values
-    xi, sign = d.signed_noise
-    s0, s1 = sign * s0, sign * s1
+    grid, fv, xi = f.grid, f.values, d.noise_displacement
     grads = _grad(fv, grid)
     drift = _variance_quadratic(d.basis.geometry.amat, grads, grid)
     if c0 is not None:
@@ -155,11 +151,7 @@ def _scalar(f: ScalarField, d: DiffeoIncrement, c0, c1, s0: int, s1: int) -> Per
     if s0:
         div_xi = _div(xi, grid)
         div_xi *= fv
-        if s0 < 0:
-            np.negative(div_xi, out=div_xi)
         noise = np.add(div_xi, noise, out=div_xi) if s1 > 0 else np.subtract(div_xi, noise, out=div_xi)
-    elif s1 < 0:
-        np.negative(noise, out=noise)
     return _assemble(grid, drift, noise, d)
 
 
@@ -180,12 +172,13 @@ def perturb_volume_multiplier(d: DiffeoIncrement) -> PerturbationResult:
     """Multiplier increment picked up by the volume element under the map.
 
     The scalar row with f = 1: drift = div a + (1/2) sum_i J_i (the basis's
-    `volume_drift`), noise = div xi.  The realised field is multiplier - 1;
-    it vanishes identically when the basis satisfies the incompressibility
-    pair div e_i = 0 and d_p d_q (sum_i e_i^p e_i^q) = 0.
+    `volume_drift`, broadcast over the members), noise = div xi.  The
+    realised field is multiplier - 1; it vanishes identically when the basis
+    satisfies the incompressibility pair div e_i = 0 and
+    d_p d_q (sum_i e_i^p e_i^q) = 0.
     """
-    require_single_member(d, "perturb_volume_multiplier")
-    return _assemble(d.grid, d.basis.volume_drift.copy(), _div(d.noise_displacement, d.grid), d)
+    noise = _div(d.noise_displacement, d.grid)
+    return _assemble(d.grid, np.broadcast_to(d.basis.volume_drift, noise.shape).copy(), noise, d)
 
 
 def perturb_nform(f: ScalarField, d: DiffeoIncrement, mode: NFormMode = NFormMode.FLUX) -> PerturbationResult:
@@ -228,14 +221,14 @@ class OneFormParts:
     """The parts of the 1-form increment of ``v`` under ``basis`` that no draw
     changes, built together on first read: the dim drift arrays and, per mode
     i, the dim noise rows e_i.grad v^j + (d_j e_i^p) v^p that `perturb_1form`
-    weights by eta_i.  They are read-only, so a caller writing into them fails
-    instead of changing the next member's increment.
+    weights by eta_i.  A ``v`` batched over members gives parts batched over
+    them.  They are read-only, so a caller writing into them fails instead of
+    changing the next member's increment.
     """
 
     def __init__(self, v: VectorField, basis: NoiseBasis):
         if v.grid.dim < 2:
             raise ValueError("1-form transport needs dim >= 2")
-        v.components[0].require_single_member("perturb_1form")
         self.v, self.basis = v, basis
 
     @cached_property
@@ -282,18 +275,19 @@ def perturb_1form(v: VectorField | OneFormParts, d: DiffeoIncrement) -> Perturba
     noise^j = sum_i eta_i (e_i.grad v^j + (d_j e_i^p) v^p)
 
     ``v`` is the field, or its `OneFormParts` under ``d``'s basis to share the
-    drift and the per-mode noise rows with other members: this call then only
-    sums the rows, weighted by eta, in mode order.
+    drift and the per-mode noise rows with other draws: this call then only
+    sums the rows, weighted by each member's eta, in mode order from zero.
     """
-    require_single_member(d, "perturb_1form")
     parts = v if isinstance(v, OneFormParts) else OneFormParts(v, d.basis)
     if parts.basis is not d.basis:
         raise ValueError("perturb_1form: the 1-form parts were built for another basis than the increment's")
     grid = parts.v.grid
-    noise = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    for row, eta in zip(parts.noise_rows, d.increments.eta):
+    eta = d.increments.eta.reshape(d.batch_shape + (1,) * grid.dim + (d.increments.n_modes,))
+    shape = np.broadcast_shapes(parts.drift[0].shape, eta.shape[:-1])
+    noise = [np.zeros(shape) for _ in range(grid.dim)]
+    for i, row in enumerate(parts.noise_rows):
         for j in range(grid.dim):
-            noise[j] += row[j] * float(eta)
+            noise[j] += row[j] * eta[..., i]
     return _assemble(grid, list(parts.drift), noise, d)
 
 

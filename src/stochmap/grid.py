@@ -103,8 +103,8 @@ class Grid:
             raise ValueError("extents and shape must have the same length")
         if any(n < 4 for n in shape):
             raise ValueError("need at least 4 points per axis (cubic interpolation stencil)")
-        if any(ell <= 0 for ell in extents):
-            raise ValueError("extents must be positive")
+        if not all(0 < ell < np.inf for ell in extents):
+            raise ValueError(f"extents must be positive and finite, got {extents}")
 
     @cached_property
     def dim(self) -> int:

@@ -6,13 +6,13 @@ modes, with drift -a + sum_i (e_i . grad) e_i and negated eta
 (`inverse_increment`); inverting twice restores the basis and eta exactly.
 The random part reaches the guard, the map and every operator through one
 field, the noise displacement xi = sum_i eta_i e_i at the nodes, summed once
-per increment.  Eta of shape (members, m) makes a batch of members.
+per increment; the inverse owns the forward's, negated.  Eta of shape
+(members, m) makes a batch of members.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -46,19 +46,26 @@ class StepSizeError(RuntimeError):
 class DiffeoIncrement:
     """A basis and one draw of its increments, checked by the step-size
     guard on construction.  A batch fails iff some member's own guard would,
-    and the error names the first such member."""
+    and the error names the first such member.
+
+    ``noise_displacement`` is xi^p = sum_i eta_i e_i^p at the nodes, one
+    array per axis (zeros without modes), summed in mode order from the first
+    mode's product on construction unless given; shape (members, *grid.shape)
+    for eta of shape (members, m).  An inverse increment is given its forward
+    increment's xi negated (`inverse_increment`)."""
 
     basis: NoiseBasis
     increments: BrownianIncrements
     safety: float = 1.0
-    # on an inverse increment, the forward increment whose xi it negates
-    forward: "DiffeoIncrement | None" = field(default=None, repr=False, compare=False)
+    noise_displacement: list[Array] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.increments.n_modes != self.basis.n_modes:
             raise ValueError(
                 f"{self.increments.n_modes} increments for {self.basis.n_modes} modes"
             )
+        if self.noise_displacement is None:
+            object.__setattr__(self, "noise_displacement", _summed_noise(self))
         bound = 0.5 * self.basis.grid.min_spacing * self.safety
         worst = _max_displacement(self).reshape(-1)   # one entry per member
         over = worst >= bound
@@ -83,64 +90,37 @@ class DiffeoIncrement:
     def batch_shape(self) -> tuple[int, ...]:
         return self.increments.batch_shape
 
-    @property
-    def signed_noise(self) -> tuple[list[Array], int]:
-        """(xi, sign) with this increment's noise displacement sign * xi: an
-        inverse increment gives its forward increment's xi and -1."""
-        if self.forward is not None:
-            return self.forward.noise_displacement, -1
-        return self.noise_displacement, 1
 
-    @cached_property
-    def noise_displacement(self) -> list[Array]:
-        """xi^p = sum_i eta_i e_i^p at the nodes, one array per axis (zeros
-        without modes), summed in mode order from the first mode's product;
-        shape (members, *grid.shape) for eta of shape (members, m).  An
-        inverse increment negates its forward increment's."""
-        if self.forward is not None:
-            return [np.negative(x) for x in self.forward.noise_displacement]
-        modes = self.basis.modes
-        if not modes:
-            return [np.zeros(self.batch_shape + self.grid.shape) for _ in range(self.grid.dim)]
-        eta = self.increments.eta.reshape(self.batch_shape + (1,) * self.grid.dim + (len(modes),))
-        xi = [np.multiply(c.values, eta[..., 0]) for c in modes[0].components]
-        term = None
-        for i, e in enumerate(modes[1:], 1):
-            for p in range(self.grid.dim):
-                term = np.multiply(e.components[p].values, eta[..., i], out=term)
-                xi[p] += term
-        return xi
+def _summed_noise(d: DiffeoIncrement) -> list[Array]:
+    """sum_i eta_i e_i^p, one array per axis, in mode order."""
+    modes = d.basis.modes
+    if not modes:
+        return [np.zeros(d.batch_shape + d.grid.shape) for _ in range(d.grid.dim)]
+    eta = d.increments.eta.reshape(d.batch_shape + (1,) * d.grid.dim + (len(modes),))
+    xi = [np.multiply(c.values, eta[..., 0]) for c in modes[0].components]
+    term = None
+    for i, e in enumerate(modes[1:], 1):
+        for p in range(d.grid.dim):
+            term = np.multiply(e.components[p].values, eta[..., i], out=term)
+            xi[p] += term
+    return xi
 
 
 def _max_displacement(d: DiffeoIncrement) -> Array:
     """Per member, the max over nodes of |a dt + xi|: the max of the squared
     norm, then one sqrt, which equals the max of the norms bit for bit (sqrt
-    is monotone and correctly rounded).
-
-    An inverse increment subtracts its forward xi (`signed_noise`), which
-    squares to the bits of adding -xi.  A basis without drift squares xi
-    itself, into arrays of its own, since xi is the cached displacement the
-    operators read: the squares are those of 0 dt + xi.
+    is monotone and correctly rounded).  A basis without drift squares xi
+    itself, whose squares are those of 0 dt + xi; the squares go into arrays
+    of the guard's own, since xi is the displacement the operators read.
     """
-    xi, sign = d.signed_noise
+    disp = d.noise_displacement
     if d.basis.has_drift:
-        combine = np.add if sign > 0 else np.subtract
-        comps = [combine(c.values * d.dt, x) for c, x in zip(d.basis.drift.components, xi)]
-        squared = np.multiply(comps[0], comps[0], out=comps[0])
-        for c in comps[1:]:
-            squared += np.multiply(c, c, out=c)
-    else:
-        squared, term = np.multiply(xi[0], xi[0]), None
-        for x in xi[1:]:
-            term = np.multiply(x, x, out=term)
-            squared += term
+        disp = [c.values * d.dt + x for c, x in zip(d.basis.drift.components, disp)]
+    squared, term = np.multiply(disp[0], disp[0]), None
+    for x in disp[1:]:
+        term = np.multiply(x, x, out=term)
+        squared += term
     return np.sqrt(squared.max(axis=d.grid.trailing_axes))
-
-
-def require_single_member(d: DiffeoIncrement, what: str) -> None:
-    """Raise ValueError naming ``what`` if ``d`` is batched over members."""
-    if d.batch_shape:
-        raise ValueError(f"{what} takes one member; got an increment batched over {d.batch_shape}")
 
 
 def displacement_field(d: DiffeoIncrement) -> VectorField:
@@ -171,12 +151,14 @@ def forward_map(d: DiffeoIncrement, points: Array | None = None) -> Array:
 
 def inverse_increment(d: DiffeoIncrement) -> DiffeoIncrement:
     """The increment realising T^{-1}: drift -a + (e.grad)e, same modes, eta
-    negated, and the noise displacement -xi, read from ``d``.
+    negated, and its own noise displacement -xi, ``d``'s negated, which has
+    the bits of the sum over the modes with -eta.
 
     A step-size guard failure of the inverse says so: "inverse map: ...".
     """
+    xi = [np.negative(x) for x in d.noise_displacement]
     try:
-        return DiffeoIncrement(d.basis.inverse, BrownianIncrements(d.dt, -d.increments.eta), d.safety, d)
+        return DiffeoIncrement(d.basis.inverse, BrownianIncrements(d.dt, -d.increments.eta), d.safety, xi)
     except StepSizeError as err:
         raise reworded(err, "inverse map: ") from None
 

@@ -123,7 +123,7 @@ def two_step_forecast(
     untouched), else one sampled.  Each variable is scanned for finiteness
     after its Euler update and after its perturbation; a blow-up names it.
     The fields may carry a leading member axis, with eta of shape (members,
-    m); the 1-form takes one member.  The step never writes into the state's
+    m).  The step never writes into the state's
     or the rhs's fields, and drops each post-Euler field once perturbed.
     """
     tilde = dict(state)

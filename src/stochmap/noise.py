@@ -35,6 +35,8 @@ class ModeSpec:
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(self.k))
         object.__setattr__(self, "amplitude", tuple(float(a) for a in self.amplitude))
+        if not np.all(np.isfinite(self.amplitude)):
+            raise ValueError(f"amplitude entries must be finite, got {self.amplitude}")
         if self.wave not in ("sin", "cos", "both"):
             raise ValueError(f"wave must be sin, cos or both, got {self.wave!r}")
         for kk in self.k:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calculus import integrate
+from .calculus import member_integrals
 from .config import RunConfig
 from .fldio import write_field
 from .grid import NonFiniteError, TensorClass, VectorField, named_field, stack_members
@@ -193,7 +193,8 @@ def _scalar_model(config, grid, basis, batch: _Batch):
         return {"f": stack_members(fields)}
 
     def values(state):
-        return [(integrate(f), float(np.sqrt(np.mean(f.values**2)))) for f in state["f"].members()]
+        f = state["f"]
+        return [(total, float(np.sqrt(np.mean(v**2)))) for total, v in zip(member_integrals(f), f.values)]
 
     def advance(state):
         check_stability(grid, config.dt, vel, diff, config.c_stab)

@@ -128,12 +128,8 @@ def verify_suite(config: RunConfig, *, include_slow: bool = True) -> list[CheckR
     if include_slow:
         # --- order-of-accuracy ladder ---------------------------------------
         rows = run_study(metrics=STUDY_METRICS, dts=DEFAULT_DTS, seed=config.seed)
-        seen = set()
-        for row in rows:
-            if row.metric in seen:
-                continue
-            seen.add(row.metric)
-            checks.append(_above(f"slope_{row.metric}", row.slope, SLOPE_THRESHOLD))
+        for metric, slope in {r.metric: r.slope for r in rows}.items():
+            checks.append(_above(f"slope_{metric}", slope, SLOPE_THRESHOLD))
 
         # --- vorticity commutation at fixed fine grid -----------------------
         _, slope = vorticity_fixed_h_study(dts=DEFAULT_DTS, n=128, seed=config.seed)

@@ -155,11 +155,29 @@ def test_invalid_drift_string():
     ("run.model=perturbation_only;scalar.tensor_class=one_form", "[scalar] tensor_class"),
     ("run.model=perturbation_only;scalar.tensor_class=volume_form", "[scalar] tensor_class"),
     ("run.model=perturbation_only;scalar.tensor_class=mixed_pair", "[scalar] tensor_class"),
+    # true and false are not numbers, and a non-finite size or step fails only in the run
+    ("run.n_steps=true", "[run] n_steps"),
+    ("run.snapshot_interval=false", "[run] snapshot_interval"),
+    ("run.dt=true", "[run] dt"),
+    ("run.model=advection;advection.velocity=true false", "[advection] velocity"),
+    ("grid.extents=nan 1", "[grid] extents"),
+    ("grid.extents=1 inf", "[grid] extents"),
+    ("run.dt=inf", "[run] dt"),
+    ("run.dt=nan", "[run] dt"),
+    ("noise.mode={k = [1, 0], amp = [0, true]}", "[noise] mode"),
+    ("noise.mode={k = [1, 0], amp = [0, inf]}", "[noise] mode"),
+    ("noise.drift_mode={k = [1, 0], amp = [nan, 0]}", "[noise] drift_mode"),
 ])
 def test_bad_value_is_config_error_naming_its_key(tmp_path, override, key):
     with pytest.raises(ConfigError) as info:
         load_config(write_config(tmp_path), override.split(";"))
     assert str(info.value).startswith(key + ": ")
+
+
+@pytest.mark.parametrize("extents", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
+def test_grid_rejects_an_extent_that_is_not_positive_and_finite(extents):
+    with pytest.raises(ValueError, match="extents must be positive and finite"):
+        Grid((8, 8), extents)
 
 
 # one non-default value per row of the key table, and the field it lands on

@@ -196,6 +196,23 @@ def test_run_study_builds_each_scene_once_per_level(monkeypatch):
     assert steps == [(16,)] * 4
 
 
+def test_run_study_builds_21_increments_per_level(monkeypatch):
+    # per level: the 2D batch and its two inverses (the maps' and the mixed
+    # n-vector's), the 16 single members of the 3D helicity drift, and the
+    # TSW batch and its inverse; the 1-form takes the 2D batch
+    built = []
+    post_init = convergence.DiffeoIncrement.__post_init__
+
+    def counting(self):
+        built.append(self.batch_shape)
+        post_init(self)
+
+    monkeypatch.setattr(convergence.DiffeoIncrement, "__post_init__", counting)
+    run_study()
+    assert len(built) == 84
+    assert built.count(()) == 64
+
+
 def test_the_study_vorticity_metric_is_the_commutation_defect_of_each_member():
     level = StudyLevel(make_scene_2d(32), 1e-2, n_pairs=8, seed=3)
     want = [vorticity_commutation_defect(level.scene.u, d) for d in level.each_member()]

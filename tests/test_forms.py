@@ -14,6 +14,7 @@ from stochmap.noise import (
     mode_gradient,
 )
 from stochmap.maps import DiffeoIncrement, forward_map, inverse_increment, inverse_map, make_increment
+from stochmap.models import apply_increment
 from stochmap.forms import (
     NFormMode,
     OneFormParts,
@@ -361,20 +362,33 @@ def test_1form_requires_two_dimensions():
         perturb_1form(VectorField.constant(g, (1.0,)), d)
 
 
-def test_single_member_operators_reject_a_batched_increment():
-    # the 1-form and the volume multiplier take one member at a time
+def test_1form_and_volume_multiplier_of_a_batch_are_each_members_own_call():
+    # a field, shared parts and a batched field through apply_increment: each
+    # member of the batched increment has the bits of its own call
     g = grid2(16)
-    basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.1, 0.05), solenoidal=False)])
-    d = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full((2, 1), 0.01)))
-    f = smooth(g, lambda x, y: 1.0 + 0.2 * np.sin(x))
-    with pytest.raises(ValueError, match=r"perturb_1form takes one member; .* batched over \(2,\)"):
-        perturb_1form(VectorField(g, (f, f)), d)
-    with pytest.raises(ValueError, match="perturb_volume_multiplier takes one member"):
-        perturb_volume_multiplier(d)
-    one = DiffeoIncrement(basis, BrownianIncrements(1e-3, np.full(1, 0.01)))
-    fs = ScalarField(g, np.stack([f.values, f.values]))
-    with pytest.raises(ValueError, match=r"perturb_1form takes one member; got a field batched over \(2,\)"):
-        perturb_1form(VectorField(g, (fs, fs)), one)
+    basis = drift_shear_and_two_wave_basis(g)
+    eta = np.random.default_rng(8).normal(0.0, np.sqrt(1e-3), size=(3, basis.n_modes))
+    batch = DiffeoIncrement(basis, BrownianIncrements(1e-3, eta))
+    each = [DiffeoIncrement(basis, BrownianIncrements(1e-3, e)) for e in eta]
+    v = VectorField(g, (smooth(g, lambda x, y: np.sin(y) + 0.3 * np.cos(2 * x)),
+                        smooth(g, lambda x, y: np.cos(x) + 0.4 * np.sin(x + y))))
+    vs = VectorField(g, tuple(ScalarField(g, np.stack([c.values * (1.0 + 0.1 * k) for k in range(3)]))
+                              for c in v.components))
+    parts = OneFormParts(v, basis)
+    for got, want in ((perturb_1form(v, batch), [perturb_1form(v, d) for d in each]),
+                      (perturb_1form(parts, batch), [perturb_1form(parts, d) for d in each])):
+        for part in ("noise", "increment"):
+            for j in range(2):
+                assert getattr(got, part)[j].tobytes() == np.stack([getattr(w, part)[j] for w in want]).tobytes()
+    stepped = apply_increment(vs, TensorClass.ONE_FORM, batch)
+    for k, d in enumerate(each):
+        one = apply_increment(VectorField(g, tuple(ScalarField(g, c.values[k]) for c in vs.components)),
+                              TensorClass.ONE_FORM, d)
+        for got, want in zip(stepped.components, one.components):
+            assert got.values[k].tobytes() == want.values.tobytes()
+    got, want = perturb_volume_multiplier(batch), [perturb_volume_multiplier(d) for d in each]
+    for part in ("drift", "noise", "increment"):
+        assert getattr(got, part).tobytes() == np.stack([getattr(w, part) for w in want]).tobytes()
 
 
 @pytest.mark.parametrize("scene", ["2d", "3d"])

@@ -172,24 +172,21 @@ def test_guard_of_a_drift_free_basis_squares_xi_and_leaves_it_unchanged(modes):
     assert _max_displacement(d).tobytes() == worst.tobytes()
 
 
-def test_the_inverse_reads_the_forward_xi_with_a_sign():
-    # the inverse sums no modes: its guard subtracts the forward xi, its
-    # n-vector noise flips its signs, and -xi is formed only when read
+def test_the_inverse_owns_the_forward_xi_negated():
+    # the inverse sums no modes: its xi is the forward's negated, and its
+    # n-vector, 0-form and guard have the bits of an inverse summed from -eta
     g = Grid((32, 32), (TWO_PI, TWO_PI))
     basis = build_fourier_basis(g, [ModeSpec(k=(1, 1), amplitude=(0.2, 0.1), solenoidal=False),
                                     ModeSpec(k=(2, 1), amplitude=(0.1, 0.0))])
     basis = basis.with_drift(ito_drift_correction(basis, 1.0))
     d = make_increment(basis, 1e-3, np.random.default_rng(5))
     inv = inverse_increment(d)
-    xi, sign = inv.signed_noise
-    assert xi is d.noise_displacement and sign == -1
+    for got, xi in zip(inv.noise_displacement, d.noise_displacement):
+        assert got.tobytes() == np.negative(xi).tobytes()
     f = ScalarField(g, 1.0 + 0.3 * np.sin(g.coords()[0]))
-    got = pushforward_nvector(f, inv)
-    assert "noise_displacement" not in inv.__dict__
     summed = DiffeoIncrement(basis.inverse, BrownianIncrements(d.dt, -d.increments.eta))
-    want = pushforward_nvector(f, summed)
+    got, want = pushforward_nvector(f, inv), pushforward_nvector(f, summed)
     assert np.array_equal(got.increment, want.increment)
-    # the 0-form's noise is xi.grad f, negated when read with the sign
     got, want = perturb_0form(f, inv), perturb_0form(f, summed)
     assert np.array_equal(got.increment, want.increment) and np.array_equal(got.noise, want.noise)
     assert _max_displacement(inv).tobytes() == _max_displacement(summed).tobytes()
